@@ -28,10 +28,7 @@ def big_s2s(spark):
 )
 def test_partitioned_s2s(benchmark, big_s2s, label, p):
     def once():
-        run = run_partitioned(
-            big_s2s.input_df, big_s2s.pipeline, np.array(p), collect_metrics=False
-        )
-        return run.result.count()
+        return run_partitioned(big_s2s.input_df, big_s2s.pipeline, np.array(p)).output_rows
 
     rows = benchmark.pedantic(once, rounds=3, iterations=1, warmup_rounds=1)
     assert rows > 0
@@ -42,11 +39,8 @@ def test_partitioned_t2t_join(benchmark, spark):
     b.input_df.cache().count()
 
     def once():
-        run = run_partitioned(
-            b.input_df, b.pipeline, np.array([1, 1, 0.5, 1, 0.5]),
-            collect_metrics=False,
-        )
-        return run.result.count()
+        run = run_partitioned(b.input_df, b.pipeline, np.array([1, 1, 0.5, 1, 0.5]))
+        return run.output_rows
 
     rows = benchmark.pedantic(once, rounds=2, iterations=1, warmup_rounds=1)
     assert rows > 0

@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.core import costmodel as cm
 from repro.core.executor import flow_counts
+from repro.core.pipeline import relay_ratios
 
 
 @dataclass(frozen=True)
@@ -121,8 +122,6 @@ def measure_spec(bundle, costs: cm.QueryCosts, offered_mbps: float) -> WorkloadS
     selectivity feed the simulator — the paper's Profile phase, done
     offline and exactly.
     """
-    relay = bundle.pipeline.measure_relay_ratios(bundle.input_df)
-    n_in = bundle.input_df.count()
-    n_out = bundle.pipeline.apply_full(bundle.input_df).count()
-    out_bpr = costs.output_bytes * n_out / max(n_in, 1)
-    return spec_from_costs(costs, relay, out_bpr, offered_mbps)
+    counts = bundle.pipeline.stage_counts(bundle.input_df)
+    out_bpr = costs.output_bytes * counts[-1] / max(counts[0], 1)
+    return spec_from_costs(costs, relay_ratios(counts), out_bpr, offered_mbps)

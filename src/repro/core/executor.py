@@ -232,7 +232,7 @@ class SparkEpochExecutor:
             drained_bytes=drained_bytes(
                 run, self.pipeline, drain_overhead=self.drain_overhead
             ),
-            output_rows=float(run.result.count()),
+            output_rows=float(run.output_rows),
         )
 
     def profile(self) -> tuple[ProfileEstimates, EpochObservation]:

@@ -8,44 +8,74 @@ operator and **drains** the rest to the stream processor, where a
 replicated copy of the remaining pipeline finishes the work.  Partial
 aggregates from both sides merge into the final result.
 
-Mapping to Spark (per the reproduction hint): data sources are stream
-partitions; source-side operators are narrow, pre-shuffle
-transformations; the drain paths and the final merge are the shuffle.
+Record splitting hashes ``record_id`` with the proxy index and a seed
+(``xxhash64``), so runs are deterministic and the per-stage splits are
+mutually independent.  A record's whole route is therefore fixed by its
+``record_id``: its **exit stage** is the index of the first proxy that
+drains it, or ``M`` (the number of operators) when every proxy forwards
+it.  A record with exit stage ``i`` runs operators ``0..i-1`` on the
+source and the rest on the SP replica.  Stateless operators act record
+by record, so *where* a record runs them does not change what they
+produce, and the data path is one pass:
+
+1. every record goes once through the stateless prefix;
+2. the terminal Group+Reduce partial-aggregates by ``(keys, exit == M)``
+   — the rows with ``exit == M`` are the source's partial aggregates,
+   the others the SP's — and ``GroupReduce.merge`` combines both sides.
+   A pipeline without a G+R returns the prefix output itself.
+
 For *any* ``p`` the merged output equals the unpartitioned query — the
 oracle tests pin this invariant.
 
-Record splitting hashes ``record_id`` with the proxy index and a seed
-(``xxhash64``), so runs are deterministic and the per-stage splits are
-mutually independent.
+The exit stage is recomputed from ``record_id`` wherever it is needed
+(an operator such as a projection may drop any other column).  The
+proxy counters are ``pyspark.sql.Observation`` metrics on the same plan:
+at operator ``i``'s input, *arrived* counts ``exit >= i`` and *drained*
+counts ``exit == i``.  So the action that produces the result also
+produces every counter; :func:`run_partitioned` runs that action itself
+(``localCheckpoint``) and returns plain ints.
+
+Mapping to Spark (per the reproduction hint): data sources are stream
+partitions; the prefix is narrow, pre-shuffle work; the drain paths and
+the final merge are the shuffle.  :mod:`repro.streaming.pushdown`
+builds its streaming plan from the same single pass.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import reduce
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 
 import numpy as np
-from pyspark.sql import DataFrame
+from pyspark.sql import Column, DataFrame, Observation
 from pyspark.sql import functions as F
 
 from repro.core.operators import RECORD_ID
-from repro.core.pipeline import Pipeline
+from repro.core.pipeline import Pipeline, keep_observations
 
 #: Hash-bucket resolution for load-factor splits (1e6 buckets ≈ 1e-6 p
 #: granularity, far finer than the runtime's 1/16 grid).
 _BUCKETS = 1_000_000
+#: Extra partial-aggregate key: true on the source's partial aggregates.
+_SRC = "__src"
 
 
 @dataclass(frozen=True)
 class PartitionedRun:
     """Outcome of one partitioned window execution.
 
+    Every count is an int taken from the action that produced ``result``.
+
     Attributes:
-        result: final merged query output (equals the unpartitioned run).
+        result: final merged query output (equals the unpartitioned run),
+            already computed.
         taken_counts: records processed locally per operator.
         drained_counts: records drained at each proxy (index = operator).
         source_partial_rows: partial-aggregate rows shipped by the source
             (0 when the pipeline has no terminal G+R or ``p_M`` = 0).
-        sp_input_counts: records entering each SP-side replicated operator.
+        sp_input_counts: records per drain stage once the SP replica has
+            finished the stateless prefix (the SP's G+R input, or its
+            share of the output when there is no G+R).
+        output_rows: rows of ``result``.
     """
 
     result: DataFrame
@@ -53,12 +83,62 @@ class PartitionedRun:
     drained_counts: tuple[int, ...]
     source_partial_rows: int
     sp_input_counts: tuple[int, ...]
+    output_rows: int
 
 
-def _split_cond(stage: int, p: float, seed: int):
-    """Deterministic Bernoulli(p) split on ``record_id`` for one proxy."""
-    h = F.xxhash64(F.col(RECORD_ID), F.lit(stage), F.lit(seed))
-    return F.pmod(h, F.lit(_BUCKETS)) < F.lit(int(round(p * _BUCKETS)))
+def _split_sql(stage: int, p: float, seed: int) -> str:
+    """Deterministic Bernoulli(p) split on ``record_id`` for one proxy.
+
+    A SQL predicate, true where the proxy forwards the record.
+    """
+    return (
+        f"pmod(xxhash64({RECORD_ID}, {stage}, {seed}), {_BUCKETS}) "
+        f"< {int(round(p * _BUCKETS))}"
+    )
+
+
+def exit_stage(p: np.ndarray, seed: int) -> Column:
+    """Index of the first proxy that drains a record, ``len(p)`` if none does."""
+    # One SQL expression: built from column objects it costs a JVM round
+    # trip per node, a sizeable share of a small window's run time.
+    drains = " ".join(
+        f"WHEN NOT ({_split_sql(i, float(v), seed)}) THEN {i}" for i, v in enumerate(p)
+    )
+    return F.expr(f"CASE {drains} ELSE {len(p)} END")
+
+
+def single_pass(
+    df: DataFrame,
+    pipeline: Pipeline,
+    exit_: Column,
+    observation: Callable[[str], Observation | str],
+) -> DataFrame:
+    """Every record once through the stateless prefix, proxies observed.
+
+    Observes ``proxy<i>`` (``arrived``, ``drained``) at the input of
+    every operator ``i`` and ``sp_input`` (``stage<i>``: records with
+    exit stage ``i``) at the prefix output. ``observation`` maps a
+    metric name to what ``DataFrame.observe`` takes: an ``Observation``
+    in batch, the name itself in Structured Streaming. ``exit_`` is
+    :func:`exit_stage` of the load factors.
+    """
+
+    def proxy(cur: DataFrame, i: int) -> DataFrame:
+        return cur.observe(
+            observation(f"proxy{i}"),
+            F.count_if(exit_ >= i).alias("arrived"),
+            F.count_if(exit_ == i).alias("drained"),
+        )
+
+    cur = df
+    for i, op in enumerate(pipeline.stateless_prefix):
+        cur = op.apply(proxy(cur, i))
+    if pipeline.terminal_group_reduce is not None:
+        cur = proxy(cur, pipeline.n_ops - 1)
+    return cur.observe(
+        observation("sp_input"),
+        *[F.count_if(exit_ == i).alias(f"stage{i}") for i in range(pipeline.n_ops)],
+    )
 
 
 def run_partitioned(
@@ -67,7 +147,6 @@ def run_partitioned(
     p: np.ndarray | list[float],
     *,
     seed: int = 0,
-    collect_metrics: bool = True,
 ) -> PartitionedRun:
     """Execute ``pipeline`` on ``df`` under load-factor vector ``p``.
 
@@ -78,12 +157,9 @@ def run_partitioned(
         p: load factor per operator, each in [0, 1]. ``p=1`` everywhere
             is All-Src; ``p=0`` everywhere is All-SP.
         seed: split seed — different seeds re-randomize proxy splits.
-        collect_metrics: when False, skip the ``count()`` actions and
-            return -1 counts (cheaper for benchmarks that only need the
-            result or a single aggregate action).
 
     Returns:
-        PartitionedRun with the merged result and drain accounting.
+        PartitionedRun with the computed result and drain accounting.
     """
     p = np.asarray(p, dtype=float)
     if p.shape != (pipeline.n_ops,):
@@ -96,74 +172,36 @@ def run_partitioned(
     if RECORD_ID not in df.columns:
         raise ValueError(f"input must carry a '{RECORD_ID}' column")
 
-    prefix = pipeline.stateless_prefix
+    obs: dict[str, Observation] = {}
+
+    def observation(name: str) -> Observation:
+        return obs.setdefault(name, Observation())
+
+    exit_ = exit_stage(p, seed)
+    result = single_pass(df, pipeline, exit_, observation)
     gr = pipeline.terminal_group_reduce
-
-    # --- source side: split at every proxy, process the taken share ---------
-    drains: list[tuple[int, DataFrame]] = []  # (stage idx, records to finish)
-    local = df
-    for i, op in enumerate(prefix):
-        cond = _split_cond(i, float(p[i]), seed)
-        drains.append((i, local.filter(~cond)))
-        local = op.apply(local.filter(cond))
-
-    source_partial: DataFrame | None = None
     if gr is not None:
-        i = pipeline.n_ops - 1
-        cond = _split_cond(i, float(p[i]), seed)
-        drains.append((i, local.filter(~cond)))
-        source_partial = gr.partial(local.filter(cond))
-        local = None  # terminal: nothing flows past G+R on the source
+        tagged = result.withColumn(_SRC, exit_ == pipeline.n_ops)
+        partials = replace(gr, keys=gr.keys + (_SRC,)).partial(tagged)
+        partials = partials.observe(
+            observation("source_partial"), F.count_if(F.col(_SRC)).alias("rows")
+        )
+        result = gr.merge(partials)
+    result = result.observe(observation("output"), F.count(F.lit(1)).alias("rows"))
+    # Observation.get blocks until an action has run on the observed
+    # plan: run it here so no counter waits on the caller.
+    with keep_observations(df.sparkSession):
+        result = result.localCheckpoint()
 
-    # --- stream processor side: finish each drained stream -------------------
-    # A drain at stage i replays operators i..end on the SP replica. All
-    # drain paths that reach the terminal G+R are unioned first so the SP
-    # computes one partial aggregate over its whole share.
-    sp_inputs: list[DataFrame] = []
-    for stage, ddf in drains[: len(prefix) + (0 if gr is None else 1)]:
-        cur = ddf
-        for j in range(stage, len(prefix)):
-            cur = prefix[j].apply(cur)
-        sp_inputs.append(cur)
-
-    if gr is not None:
-        assert source_partial is not None
-        sp_union = reduce(DataFrame.unionByName, sp_inputs)
-        sp_partial = gr.partial(sp_union)
-        result = gr.merge(source_partial.unionByName(sp_partial))
-    else:
-        # Pure stateless pipeline: final records are the union of the
-        # source-processed share and every SP-finished drain path.
-        parts = sp_inputs + ([local] if local is not None else [])
-        result = reduce(DataFrame.unionByName, parts)
-
-    # --- metrics --------------------------------------------------------------
-    if collect_metrics:
-        drained_counts = tuple(int(d.count()) for _, d in drains)
-        # Taken records per op: input to op minus drained at its proxy.
-        taken: list[int] = []
-        inputs = df
-        for i, op in enumerate(prefix):
-            n_in = int(inputs.count())
-            taken.append(n_in - drained_counts[i])
-            inputs = op.apply(inputs.filter(_split_cond(i, float(p[i]), seed)))
-        if gr is not None:
-            n_in = int(inputs.count())
-            taken.append(n_in - drained_counts[-1])
-        sp_counts = tuple(int(s.count()) for s in sp_inputs)
-        n_partial = int(source_partial.count()) if source_partial is not None else 0
-    else:
-        drained_counts = tuple([-1] * pipeline.n_ops)
-        taken = [-1] * pipeline.n_ops
-        sp_counts = tuple([-1] * len(sp_inputs))
-        n_partial = -1
-
+    proxies = [obs[f"proxy{i}"].get for i in range(pipeline.n_ops)]
+    sp_input = obs["sp_input"].get
     return PartitionedRun(
         result=result,
-        taken_counts=tuple(taken),
-        drained_counts=drained_counts,
-        source_partial_rows=n_partial,
-        sp_input_counts=sp_counts,
+        taken_counts=tuple(int(m["arrived"] - m["drained"]) for m in proxies),
+        drained_counts=tuple(int(m["drained"]) for m in proxies),
+        source_partial_rows=int(obs["source_partial"].get["rows"]) if gr is not None else 0,
+        sp_input_counts=tuple(int(sp_input[f"stage{i}"]) for i in range(pipeline.n_ops)),
+        output_rows=int(obs["output"].get["rows"]),
     )
 
 

@@ -14,10 +14,13 @@ this shape at construction time:
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-from pyspark.sql import DataFrame
+from pyspark.sql import DataFrame, Observation, SparkSession
+from pyspark.sql import functions as F
 
 from repro.core.operators import (
     GroupReduce,
@@ -25,6 +28,39 @@ from repro.core.operators import (
     StatelessOp,
     UnsupportedOperatorError,
 )
+
+#: AQE rule that swaps a finished query stage with no output rows for an
+#: empty relation. The observations inside that stage leave the final
+#: plan with it and never report, so a window the filter empties would
+#: lose the counters taken before the filter.
+_AQE_EXCLUDED_RULES = "spark.sql.adaptive.optimizer.excludedRules"
+_DROPS_OBSERVATIONS = "org.apache.spark.sql.execution.adaptive.AQEPropagateEmptyRelation"
+
+
+@contextmanager
+def keep_observations(spark: SparkSession) -> Iterator[None]:
+    """Run an action with every ``Observation`` in its plan reporting."""
+    prev = spark.conf.get(_AQE_EXCLUDED_RULES, None)
+    spark.conf.set(_AQE_EXCLUDED_RULES, ",".join(filter(None, [prev, _DROPS_OBSERVATIONS])))
+    try:
+        yield
+    finally:
+        if prev is None:
+            spark.conf.unset(_AQE_EXCLUDED_RULES)
+        else:
+            spark.conf.set(_AQE_EXCLUDED_RULES, prev)
+
+
+def relay_ratios(counts: list[int]) -> np.ndarray:
+    """Relay ratio per operator from :meth:`Pipeline.stage_counts`.
+
+    Ratios are clipped to [0, 1] (a window's group count cannot exceed
+    its record count); an operator with no input (0/0) gets 1.
+    """
+    c = np.array(counts, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.where(c[:-1] > 0, c[1:] / c[:-1], 1.0)
+    return np.clip(r, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -95,25 +131,33 @@ class Pipeline:
             cur = gr.apply(cur)
         return cur
 
+    def stage_counts(self, df: DataFrame) -> list[int]:
+        """Records entering each operator, then the output rows.
+
+        One action: an ``Observation`` counts each stage boundary while
+        the output is counted.
+        """
+        obs = [Observation() for _ in self.ops]
+
+        def observed(cur: DataFrame, o: Observation) -> DataFrame:
+            return cur.observe(o, F.count(F.lit(1)).alias("n"))
+
+        cur = df
+        for o, op in zip(obs, self.stateless_prefix):
+            cur = op.apply(observed(cur, o))
+        gr = self.terminal_group_reduce
+        if gr is not None:
+            cur = gr.apply(observed(cur, obs[-1]))
+        with keep_observations(df.sparkSession):
+            n_out = cur.count()
+        return [int(o.get["n"]) for o in obs] + [int(n_out)]
+
     def measure_relay_ratios(self, df: DataFrame) -> np.ndarray:
         """Record-count relay ratio ``r_i`` per operator, measured on data.
 
         Runs the pipeline once, counting records at each stage boundary.
         For the terminal G+R the ratio is output groups / input records
         — data-dependent, exactly what the paper's Profile phase
-        estimates online.  Ratios are clipped to [0, 1] (a window's group
-        count cannot exceed its record count, but empty inputs yield 0/0
-        which is mapped to 1).
+        estimates online. See :func:`relay_ratios` for the clipping.
         """
-        counts = [df.count()]
-        cur = df
-        for op in self.stateless_prefix:
-            cur = op.apply(cur)
-            counts.append(cur.count())
-        gr = self.terminal_group_reduce
-        if gr is not None:
-            counts.append(gr.apply(cur).count())
-        counts_arr = np.array(counts, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = np.where(counts_arr[:-1] > 0, counts_arr[1:] / counts_arr[:-1], 1.0)
-        return np.clip(r, 0.0, 1.0)
+        return relay_ratios(self.stage_counts(df))

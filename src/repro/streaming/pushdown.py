@@ -5,8 +5,10 @@ Structured Streaming query with *partial operators pushed down to the
 source side before the shuffle*:
 
 * data sources are partitions of the input stream;
-* each control-proxy split and each source-side operator is a narrow
-  (pre-shuffle) transformation on the stream;
+* the stateless operators are narrow (pre-shuffle) transformations that
+  every record passes once, whichever side its proxies send it to (the
+  exit-stage pass of :mod:`repro.core.partition_exec`); the proxy
+  splits are observed counters on that pass;
 * the drain paths and the final Group+Reduce are the shuffle — Catalyst
   itself inserts the partial hash-aggregation before the exchange, which
   is exactly the source-side partial aggregate of §IV's data path.
@@ -32,7 +34,12 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.core import costmodel as cm
-from repro.core.partition_exec import _split_cond, drained_bytes, run_partitioned
+from repro.core.partition_exec import (
+    drained_bytes,
+    exit_stage,
+    run_partitioned,
+    single_pass,
+)
 from repro.core.pipeline import Pipeline
 from repro.core.proxy import EpochObservation, QueryState, classify_query
 from repro.core.runtime import JarvisRuntime
@@ -43,11 +50,15 @@ def build_partitioned_stream(
 ) -> DataFrame:
     """Streaming DataFrame computing the partitioned query's final result.
 
-    The source-processed share and every drain path are unioned as
-    *records* feeding one terminal groupBy; Spark's partial aggregation
-    before the exchange realizes the source-side partial aggregate, so
-    the result equals the batch ``run_partitioned`` output for the same
-    data (and the unpartitioned query, for any ``p``).
+    The single pass of :func:`~repro.core.partition_exec.run_partitioned`:
+    every record goes once through the stateless prefix, and the proxy
+    counters for ``p`` are observed as named metrics (``proxy<i>`` with
+    ``arrived``/``drained``, ``sp_input`` with ``stage<i>``) in each
+    micro-batch's ``StreamingQueryProgress.observedMetrics``. The terminal
+    G+R is one groupBy: streaming forbids chained stateful operators, and
+    Catalyst's partial aggregation before the exchange is the
+    source-side partial step. The result equals the unpartitioned query
+    for any ``p``.
     """
     p = np.asarray(p, dtype=float)
     if p.shape != (pipeline.n_ops,):
@@ -55,29 +66,7 @@ def build_partitioned_stream(
     gr = pipeline.terminal_group_reduce
     if gr is None:
         raise ValueError("streaming pushdown requires a terminal G+R")
-    prefix = pipeline.stateless_prefix
-
-    paths: list[DataFrame] = []
-    local = stream_df
-    for i, op in enumerate(prefix):
-        cond = _split_cond(i, float(p[i]), seed)
-        drain = local.filter(~cond)
-        # The drain path finishes the remaining stateless prefix on the
-        # SP replica; in streaming terms it is still narrow work.
-        for j in range(i, len(prefix)):
-            drain = prefix[j].apply(drain)
-        paths.append(drain)
-        local = op.apply(local.filter(cond))
-    # Terminal proxy: the G+R split. Both shares are G+R *input* records;
-    # the exchange's partial aggregation handles the rest.
-    paths.append(local)
-    from functools import reduce
-
-    union = reduce(DataFrame.unionByName, paths)
-    # Single-aggregation form: streaming forbids chained stateful
-    # operators; Catalyst's partial aggregation before the exchange is
-    # the source-side partial step.
-    return gr.direct(union)
+    return gr.direct(single_pass(stream_df, pipeline, exit_stage(p, seed), lambda name: name))
 
 
 @dataclass(frozen=True)
@@ -128,7 +117,7 @@ class _BatchExecutor:
             idle_frac=np.full(len(p), 1.0 - util),
             compute_used=min(demand_s, budget_s),
             drained_bytes=drained_bytes(run, self.pipeline),
-            output_rows=float(run.result.count()),
+            output_rows=float(run.output_rows),
         )
 
     def profile(self):
