@@ -16,16 +16,23 @@ Two implementations of the same interface:
   accounting uses the calibrated per-record model (a shared local JVM
   cannot meter a 1-core budget). Used by integration tests and the
   Structured Streaming demo.
+
+Both, and the streaming micro-batch executor, turn their per-proxy
+record counts into an :class:`EpochObservation` with one function,
+:func:`epoch_observation`. It runs once per epoch per query per source,
+so it works on Python floats: NumPy's per-call overhead dominates on
+arrays of a few elements.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 from pyspark.sql import DataFrame
 
 from repro.core import costmodel as cm
-from repro.core.partition_exec import drained_bytes, run_partitioned
+from repro.core.partition_exec import PartitionedRun, drained_bytes, run_partitioned, wire_bytes
 from repro.core.pipeline import Pipeline
 from repro.core.proxy import EpochObservation
 
@@ -45,17 +52,101 @@ def flow_counts(n_records: float, p: np.ndarray, relay: np.ndarray) -> tuple[np.
     Returns (arrived, forwarded, drained) per operator for ``n_records``
     injected, load factors ``p`` and relay ratios ``relay``.
     """
-    M = len(p)
-    arrived = np.zeros(M)
-    forwarded = np.zeros(M)
-    drained = np.zeros(M)
-    cur = float(n_records)
-    for i in range(M):
-        arrived[i] = cur
-        forwarded[i] = cur * p[i]
-        drained[i] = cur - forwarded[i]
-        cur = forwarded[i] * relay[i]
+    arrived, forwarded, drained = planned_flow(
+        float(n_records),
+        np.asarray(p, dtype=float).tolist(),
+        np.asarray(relay, dtype=float).tolist(),
+    )
+    return np.array(arrived), np.array(forwarded), np.array(drained)
+
+
+def planned_flow(
+    cur: float, p: list[float], relay: list[float]
+) -> tuple[list[float], list[float], list[float]]:
+    """:func:`flow_counts` on lists of Python floats, for the per-epoch callers."""
+    arrived, forwarded, drained = [], [], []
+    for p_i, r_i in zip(p, relay):
+        f = cur * p_i
+        arrived.append(cur)
+        forwarded.append(f)
+        drained.append(cur - f)
+        cur = f * r_i
     return arrived, forwarded, drained
+
+
+def epoch_observation(
+    arrived: list[float],
+    forwarded: list[float],
+    drained: list[float],
+    cost_us: list[float],
+    budget_s: float,
+    wire_bytes: Callable[[list[float]], float],
+    *,
+    output_rows: float = 0.0,
+) -> EpochObservation:
+    """Budget, pending and idle accounting of one epoch, shared by every executor.
+
+    ``arrived``, ``forwarded`` and ``drained`` are the epoch's per-proxy
+    record counts (planned or measured), ``cost_us`` the per-record
+    operator costs and ``budget_s`` the epoch's compute budget in
+    core-seconds. When the forwarded records need more than the budget,
+    each operator completes the same share of its input; the rest is
+    pending and the proxy force-drains it, so it counts as drained.
+    ``wire_bytes`` is the executor's byte accounting: it maps the drained
+    records per proxy (planned plus force-drained) to the epoch's
+    network bytes.
+
+    The sums run left to right from 0.0, which for fewer than 8 terms is
+    bit-identical to ``np.sum`` (builtin ``sum`` is compensated on
+    Python >= 3.12).
+    """
+    demand = 0.0
+    for f, c in zip(forwarded, cost_us):
+        demand += f * c
+    demand_s = demand * 1e-6
+    if demand_s <= budget_s or demand_s == 0.0:
+        processed = forwarded
+    else:
+        scale = budget_s / demand_s
+        processed = [f * scale for f in forwarded]
+    pending = [f - q for f, q in zip(forwarded, processed)]
+    total_drained = [d + q for d, q in zip(drained, pending)]
+    util = min(1.0, demand_s / budget_s) if budget_s > 0 else 1.0
+    return EpochObservation(
+        arrived=np.array(arrived, dtype=float),
+        forwarded=np.array(forwarded, dtype=float),
+        processed=np.array(processed, dtype=float),
+        drained=np.array(total_drained, dtype=float),
+        pending_frac=np.array(
+            [q / f if f > 0 else 0.0 for f, q in zip(forwarded, pending)], dtype=float
+        ),
+        idle_frac=np.array([1.0 - util] * len(forwarded), dtype=float),
+        compute_used=min(demand_s, budget_s),
+        drained_bytes=wire_bytes(total_drained),
+        output_rows=output_rows,
+    )
+
+
+def measured_observation(
+    run: PartitionedRun, pipeline: Pipeline, budget_s: float, drain_overhead: float
+) -> EpochObservation:
+    """:func:`epoch_observation` of one executed window, from its proxy counters.
+
+    The run processed every forwarded record, so only its planned drains
+    shipped bytes; the force-drained overflow is accounting only.
+    """
+    forwarded = [float(n) for n in run.taken_counts]
+    drained = [float(n) for n in run.drained_counts]
+    shipped = drained_bytes(run, pipeline, drain_overhead=drain_overhead)
+    return epoch_observation(
+        [f + d for f, d in zip(forwarded, drained)],
+        forwarded,
+        drained,
+        np.asarray(pipeline.cost_us, dtype=float).tolist(),
+        budget_s,
+        lambda _: shipped,
+        output_rows=float(run.output_rows),
+    )
 
 
 @dataclass
@@ -93,43 +184,24 @@ class SimulatedEpochExecutor:
 
     def execute(self, p: np.ndarray) -> EpochObservation:
         """Run one epoch under load factors ``p``."""
-        p = np.asarray(p, dtype=float)
-        arrived, forwarded, drained = flow_counts(
-            self.records_per_epoch, p, self.relay
+        arrived, forwarded, drained = planned_flow(
+            float(self.records_per_epoch),
+            np.asarray(p, dtype=float).tolist(),
+            np.asarray(self.relay, dtype=float).tolist(),
         )
-        demand_s = float(np.sum(forwarded * self.cost_us)) * 1e-6
-        budget_s = self.budget_core * self.epoch_s
-        if demand_s <= budget_s or demand_s == 0.0:
-            processed = forwarded.copy()
-            scale = 1.0
-        else:
-            # Budget exhausted: each operator completes a proportional
-            # share; the rest is pending and force-drained by the proxy.
-            scale = budget_s / demand_s
-            processed = forwarded * scale
-        pending = forwarded - processed
-        with np.errstate(divide="ignore", invalid="ignore"):
-            pending_frac = np.where(forwarded > 0, pending / forwarded, 0.0)
-        util = min(1.0, demand_s / budget_s) if budget_s > 0 else 1.0
-        idle_frac = np.full(len(p), 1.0 - util)
-        total_drained = drained + pending
-        dbytes = float(
-            np.sum(
-                total_drained
-                * self.stage_bytes
-                * np.where(np.arange(len(p)) == 0, 1.0, self.drain_overhead)
-            )
+        return epoch_observation(
+            arrived,
+            forwarded,
+            drained,
+            np.asarray(self.cost_us, dtype=float).tolist(),
+            self.budget_core * self.epoch_s,
+            self._shipped_bytes,
         )
-        return EpochObservation(
-            arrived=arrived,
-            forwarded=forwarded,
-            processed=processed,
-            drained=total_drained,
-            pending_frac=pending_frac,
-            idle_frac=idle_frac,
-            compute_used=min(demand_s, budget_s),
-            drained_bytes=dbytes + self.output_bytes_per_epoch,
-        )
+
+    def _shipped_bytes(self, drained: list[float]) -> float:
+        """Drain-path bytes, force-drained records included, plus the output."""
+        sizes = np.asarray(self.stage_bytes, dtype=float).tolist()
+        return wire_bytes(drained, sizes, self.drain_overhead) + self.output_bytes_per_epoch
 
     def profile(self) -> tuple[ProfileEstimates, EpochObservation]:
         """One Profile epoch: estimate costs, relays and budget.
@@ -208,31 +280,8 @@ class SparkEpochExecutor:
         p = np.asarray(p, dtype=float)
         win = self._next_window()
         run = run_partitioned(win, self.pipeline, p, seed=self.seed + self._epoch_no)
-        forwarded = np.array(run.taken_counts, dtype=float)
-        drained = np.array(run.drained_counts, dtype=float)
-        arrived = forwarded + drained
-        demand_s = float(np.sum(forwarded * self.pipeline.cost_us)) * 1e-6
-        budget_s = self.budget_core * self.epoch_s
-        if demand_s <= budget_s or demand_s == 0:
-            processed = forwarded.copy()
-        else:
-            processed = forwarded * (budget_s / demand_s)
-        pending = forwarded - processed
-        with np.errstate(divide="ignore", invalid="ignore"):
-            pending_frac = np.where(forwarded > 0, pending / forwarded, 0.0)
-        util = min(1.0, demand_s / budget_s) if budget_s > 0 else 1.0
-        return EpochObservation(
-            arrived=arrived,
-            forwarded=forwarded,
-            processed=processed,
-            drained=drained + pending,
-            pending_frac=pending_frac,
-            idle_frac=np.full(len(p), 1.0 - util),
-            compute_used=min(demand_s, budget_s),
-            drained_bytes=drained_bytes(
-                run, self.pipeline, drain_overhead=self.drain_overhead
-            ),
-            output_rows=float(run.output_rows),
+        return measured_observation(
+            run, self.pipeline, self.budget_core * self.epoch_s, self.drain_overhead
         )
 
     def profile(self) -> tuple[ProfileEstimates, EpochObservation]:

@@ -214,9 +214,16 @@ def drained_bytes(
     drains pay ``drain_overhead`` for Kryo framing, the target-operator
     id and replicated watermarks (paper §V).
     """
-    sizes = pipeline.stage_bytes
+    return wire_bytes(run.drained_counts, pipeline.stage_bytes, drain_overhead)
+
+
+def wire_bytes(drained, stage_bytes, drain_overhead: float) -> float:
+    """Bytes of ``drained[i]`` records drained at each proxy ``i``.
+
+    ``stage_bytes[i]`` is a record's wire size there; stage 0 is a bulk
+    forward, deeper drains pay ``drain_overhead``.
+    """
     total = 0.0
-    for i, n in enumerate(run.drained_counts):
-        oh = 1.0 if i == 0 else drain_overhead
-        total += n * sizes[i] * oh
+    for i, (n, b) in enumerate(zip(drained, stage_bytes)):
+        total += n * b * (1.0 if i == 0 else drain_overhead)
     return total

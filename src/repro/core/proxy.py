@@ -89,18 +89,20 @@ def classify_query(
     drained_thres: float = cm.DRAINED_THRES,
     idle_thres: float = cm.IDLE_THRES,
 ) -> QueryState:
-    """Aggregate proxy states into the query state (ProbeCP)."""
-    states = [
-        classify_proxy(
-            float(obs.pending_frac[i]),
-            float(obs.idle_frac[i]),
-            drained_thres=drained_thres,
-            idle_thres=idle_thres,
-        )
-        for i in range(len(p))
-    ]
-    if any(s is ProxyState.CONGESTED for s in states):
-        return QueryState.CONGESTED
-    if all(s is ProxyState.IDLE for s in states) and bool(np.any(p < 1.0 - 1e-9)):
+    """Aggregate proxy states into the query state (ProbeCP).
+
+    Applies :func:`classify_proxy`'s rule to each proxy inline: this runs
+    every epoch, and a call per proxy costs more than the comparisons.
+    """
+    p = np.asarray(p).tolist()
+    pending = obs.pending_frac.tolist()
+    idle = obs.idle_frac.tolist()
+    all_idle = True
+    for i in range(len(p)):
+        if pending[i] > drained_thres:
+            return QueryState.CONGESTED
+        if not idle[i] > idle_thres:
+            all_idle = False
+    if all_idle and any(v < 1.0 - 1e-9 for v in p):
         return QueryState.IDLE
     return QueryState.STABLE

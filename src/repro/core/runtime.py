@@ -173,7 +173,7 @@ class JarvisRuntime:
         assert self._tuner is not None
         if self.mode == "jarvis":
             self._tuner.update_kappa(
-                self.p, obs.compute_used, float(np.max(obs.pending_frac))
+                self.p, obs.compute_used, max(obs.pending_frac.tolist())
             )
         nxt = self._tuner.next_p(self.p, state)
         if nxt is None:

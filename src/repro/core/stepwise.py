@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core import costmodel as cm
-from repro.core.executor import ProfileEstimates, flow_counts
+from repro.core.executor import ProfileEstimates, planned_flow
 from repro.core.proxy import QueryState
 from repro.lp.plan_lp import solve_plan
 
@@ -56,9 +56,8 @@ def ffd_priority_order(relay: np.ndarray) -> np.ndarray:
     processed record); ties break toward downstream operators, which
     see fewer records per unit of reduction.
     """
-    relay = np.asarray(relay, dtype=float)
-    idx = np.arange(len(relay))
-    return idx[np.lexsort((-idx, relay))]
+    relay = np.asarray(relay, dtype=float).tolist()
+    return np.array(sorted(range(len(relay)), key=lambda i: (relay[i], -i)), dtype=int)
 
 
 @dataclass
@@ -104,7 +103,7 @@ class FineTuner:
     _direction_flips: int = 0
 
     def _snap(self, v: float) -> float:
-        return float(np.clip(round(v * self.grid) / self.grid, 0.0, 1.0))
+        return min(max(round(v * self.grid) / self.grid, 0.0), 1.0)
 
     # -- model-predicted probe -------------------------------------------------
     def update_kappa(self, p: np.ndarray, compute_used: float, pending_frac: float) -> None:
@@ -115,44 +114,49 @@ class FineTuner:
         """
         if self.model is None or self.records_per_epoch <= 0:
             return
-        est_demand = self._demand(p)
+        est_demand = self._demand(np.asarray(p, dtype=float).tolist())
         if est_demand <= 0:
             return
         actual = compute_used / max(1e-9, 1.0 - min(pending_frac, 0.99))
-        self.kappa = float(np.clip(actual / est_demand * self.kappa, 0.05, 20.0))
+        self.kappa = min(max(actual / est_demand * self.kappa, 0.05), 20.0)
 
-    def _demand(self, p: np.ndarray) -> float:
+    def _demand(self, p: list[float]) -> float:
         """Estimated epoch compute demand (core-seconds) under ``p``."""
         assert self.model is not None
-        _, fwd, _ = flow_counts(self.records_per_epoch, p, self.model.relay)
-        return float(np.sum(fwd * self.model.cost_us * self.kappa)) * 1e-6
+        _, fwd, _ = planned_flow(
+            float(self.records_per_epoch), p, np.asarray(self.model.relay, dtype=float).tolist()
+        )
+        demand = 0.0  # left to right from 0.0, as in epoch_observation
+        for f, c in zip(fwd, np.asarray(self.model.cost_us, dtype=float).tolist()):
+            demand += f * c * self.kappa
+        return demand * 1e-6
 
     def _predicted_p(self, p: np.ndarray, op: int) -> float | None:
         """Solve for the op's load factor that hits the target utilisation."""
         if self.model is None or self.records_per_epoch <= 0:
             return None
         budget_s = self.model.budget_core * self.epoch_s
-        p0 = p.copy()
+        p0 = np.asarray(p, dtype=float).tolist()
         p0[op] = 0.0
-        p1 = p.copy()
+        p1 = p0.copy()
         p1[op] = 1.0
         d0, d1 = self._demand(p0), self._demand(p1)
         if d1 - d0 <= 1e-12:
             return None
         x = (self.target_util * budget_s - d0) / (d1 - d0)
-        return float(np.clip(x, 0.0, 1.0))
+        return min(max(x, 0.0), 1.0)
 
     # -- search orchestration ----------------------------------------------------
     def _start_search(self, p: np.ndarray, state: QueryState) -> _Search | None:
-        order = ffd_priority_order(self.relay)
+        order = ffd_priority_order(self.relay).tolist()
         if state is QueryState.IDLE:
             for op in order:  # highest priority first
                 if p[op] < 1.0 - 1e-9 and op not in self._exhausted_raise:
-                    return _Search(op=int(op), raising=True, lo=float(p[op]), hi=1.0)
+                    return _Search(op=op, raising=True, lo=float(p[op]), hi=1.0)
             return None
         for op in order[::-1]:  # lowest priority first
             if p[op] > 1e-9 and op not in self._exhausted_lower:
-                return _Search(op=int(op), raising=False, lo=0.0, hi=float(p[op]))
+                return _Search(op=op, raising=False, lo=0.0, hi=float(p[op]))
         return None
 
     def next_p(self, p: np.ndarray, state: QueryState) -> np.ndarray | None:
@@ -223,7 +227,7 @@ class FineTuner:
             s.first_probe = False
         if probe is None:
             probe = (s.lo + s.hi) / 2.0
-        probe = self._snap(float(np.clip(probe, s.lo, s.hi)))
+        probe = self._snap(min(max(probe, s.lo), s.hi))
         if probe <= s.lo + 1e-12:
             probe = self._snap(s.lo + 1.0 / self.grid)
         if probe >= s.hi - 1e-12 and s.hi_congested:

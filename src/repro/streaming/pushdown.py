@@ -34,12 +34,8 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.core import costmodel as cm
-from repro.core.partition_exec import (
-    drained_bytes,
-    exit_stage,
-    run_partitioned,
-    single_pass,
-)
+from repro.core.executor import ProfileEstimates, measured_observation
+from repro.core.partition_exec import exit_stage, run_partitioned, single_pass
 from repro.core.pipeline import Pipeline
 from repro.core.proxy import EpochObservation, QueryState, classify_query
 from repro.core.runtime import JarvisRuntime
@@ -98,31 +94,11 @@ class _BatchExecutor:
         assert self.batch_df is not None
         run = run_partitioned(self.batch_df, self.pipeline, p)
         self.last_run = run
-        forwarded = np.array(run.taken_counts, dtype=float)
-        drained = np.array(run.drained_counts, dtype=float)
-        demand_s = float(np.sum(forwarded * self.pipeline.cost_us)) * 1e-6
-        budget_s = self.budget_core * cm.EPOCH_SECONDS
-        scale = 1.0 if demand_s <= budget_s or demand_s == 0 else budget_s / demand_s
-        processed = forwarded * scale
-        pending = forwarded - processed
-        with np.errstate(divide="ignore", invalid="ignore"):
-            pending_frac = np.where(forwarded > 0, pending / forwarded, 0.0)
-        util = min(1.0, demand_s / budget_s) if budget_s > 0 else 1.0
-        return EpochObservation(
-            arrived=forwarded + drained,
-            forwarded=forwarded,
-            processed=processed,
-            drained=drained + pending,
-            pending_frac=pending_frac,
-            idle_frac=np.full(len(p), 1.0 - util),
-            compute_used=min(demand_s, budget_s),
-            drained_bytes=drained_bytes(run, self.pipeline),
-            output_rows=float(run.output_rows),
+        return measured_observation(
+            run, self.pipeline, self.budget_core * cm.EPOCH_SECONDS, cm.DRAIN_OVERHEAD
         )
 
     def profile(self):
-        from repro.core.executor import ProfileEstimates
-
         assert self.batch_df is not None
         relay = self.pipeline.measure_relay_ratios(self.batch_df)
         est = ProfileEstimates(

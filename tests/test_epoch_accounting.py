@@ -1,0 +1,344 @@
+"""Epoch accounting on Python floats against the NumPy reference.
+
+The per-epoch control loop (executor accounting, ``classify_query`` and
+the fine-tuner's helpers) works on Python floats. The ``_ref_*``
+functions below are the earlier NumPy formulation, kept as the
+reference: every result must be bit-identical to it, not merely close.
+"""
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from repro.core import costmodel as cm
+from repro.core.convergence_sim import OpCountResult, sweep_operator_counts
+from repro.core.executor import (
+    ProfileEstimates,
+    SimulatedEpochExecutor,
+    epoch_observation,
+    measured_observation,
+)
+from repro.core.partition_exec import PartitionedRun
+from repro.core.proxy import EpochObservation, ProxyState, QueryState, classify_query
+from repro.core.runtime import JarvisRuntime
+from repro.core.stepwise import FineTuner, ffd_priority_order
+
+N_DRAWS = 3000
+FIELDS = ("arrived", "forwarded", "processed", "drained", "pending_frac", "idle_frac")
+
+
+# -- NumPy reference ------------------------------------------------------------
+def _ref_flow_counts(n_records, p, relay):
+    M = len(p)
+    arrived = np.zeros(M)
+    forwarded = np.zeros(M)
+    drained = np.zeros(M)
+    cur = float(n_records)
+    for i in range(M):
+        arrived[i] = cur
+        forwarded[i] = cur * p[i]
+        drained[i] = cur - forwarded[i]
+        cur = forwarded[i] * relay[i]
+    return arrived, forwarded, drained
+
+
+def _ref_execute(ex, p):
+    p = np.asarray(p, dtype=float)
+    arrived, forwarded, drained = _ref_flow_counts(ex.records_per_epoch, p, ex.relay)
+    demand_s = float(np.sum(forwarded * ex.cost_us)) * 1e-6
+    budget_s = ex.budget_core * ex.epoch_s
+    if demand_s <= budget_s or demand_s == 0.0:
+        processed = forwarded.copy()
+    else:
+        processed = forwarded * (budget_s / demand_s)
+    pending = forwarded - processed
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pending_frac = np.where(forwarded > 0, pending / forwarded, 0.0)
+    util = min(1.0, demand_s / budget_s) if budget_s > 0 else 1.0
+    total_drained = drained + pending
+    dbytes = float(
+        np.sum(
+            total_drained
+            * ex.stage_bytes
+            * np.where(np.arange(len(p)) == 0, 1.0, ex.drain_overhead)
+        )
+    )
+    return EpochObservation(
+        arrived=arrived,
+        forwarded=forwarded,
+        processed=processed,
+        drained=total_drained,
+        pending_frac=pending_frac,
+        idle_frac=np.full(len(p), 1.0 - util),
+        compute_used=min(demand_s, budget_s),
+        drained_bytes=dbytes + ex.output_bytes_per_epoch,
+    )
+
+
+def _ref_measured(run, pipeline, budget_s, drain_overhead):
+    forwarded = np.array(run.taken_counts, dtype=float)
+    drained = np.array(run.drained_counts, dtype=float)
+    demand_s = float(np.sum(forwarded * pipeline.cost_us)) * 1e-6
+    if demand_s <= budget_s or demand_s == 0:
+        processed = forwarded.copy()
+    else:
+        processed = forwarded * (budget_s / demand_s)
+    pending = forwarded - processed
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pending_frac = np.where(forwarded > 0, pending / forwarded, 0.0)
+    util = min(1.0, demand_s / budget_s) if budget_s > 0 else 1.0
+    return EpochObservation(
+        arrived=forwarded + drained,
+        forwarded=forwarded,
+        processed=processed,
+        drained=drained + pending,
+        pending_frac=pending_frac,
+        idle_frac=np.full(len(forwarded), 1.0 - util),
+        compute_used=min(demand_s, budget_s),
+        drained_bytes=_ref_drained_bytes(run, pipeline, drain_overhead),
+        output_rows=float(run.output_rows),
+    )
+
+
+def _ref_drained_bytes(run, pipeline, drain_overhead):
+    sizes = pipeline.stage_bytes
+    total = 0.0
+    for i, n in enumerate(run.drained_counts):
+        oh = 1.0 if i == 0 else drain_overhead
+        total += n * sizes[i] * oh
+    return total
+
+
+def _ref_classify_proxy(pending_frac, idle_frac, drained_thres, idle_thres):
+    if pending_frac > drained_thres:
+        return ProxyState.CONGESTED
+    if idle_frac > idle_thres:
+        return ProxyState.IDLE
+    return ProxyState.STABLE
+
+
+def _ref_classify_query(obs, p, drained_thres=cm.DRAINED_THRES, idle_thres=cm.IDLE_THRES):
+    states = [
+        _ref_classify_proxy(
+            float(obs.pending_frac[i]), float(obs.idle_frac[i]), drained_thres, idle_thres
+        )
+        for i in range(len(p))
+    ]
+    if any(s is ProxyState.CONGESTED for s in states):
+        return QueryState.CONGESTED
+    if all(s is ProxyState.IDLE for s in states) and bool(np.any(p < 1.0 - 1e-9)):
+        return QueryState.IDLE
+    return QueryState.STABLE
+
+
+def _ref_ffd_priority_order(relay):
+    relay = np.asarray(relay, dtype=float)
+    idx = np.arange(len(relay))
+    return idx[np.lexsort((-idx, relay))]
+
+
+def _ref_demand(tuner, p):
+    _, fwd, _ = _ref_flow_counts(tuner.records_per_epoch, p, tuner.model.relay)
+    return float(np.sum(fwd * tuner.model.cost_us * tuner.kappa)) * 1e-6
+
+
+def _ref_predicted_p(tuner, p, op):
+    budget_s = tuner.model.budget_core * tuner.epoch_s
+    p0 = p.copy()
+    p0[op] = 0.0
+    p1 = p.copy()
+    p1[op] = 1.0
+    d0, d1 = _ref_demand(tuner, p0), _ref_demand(tuner, p1)
+    if d1 - d0 <= 1e-12:
+        return None
+    x = (tuner.target_util * budget_s - d0) / (d1 - d0)
+    return float(np.clip(x, 0.0, 1.0))
+
+
+def _ref_kappa(tuner, p, compute_used, pending_frac):
+    est_demand = _ref_demand(tuner, p)
+    if est_demand <= 0:
+        return tuner.kappa
+    actual = compute_used / max(1e-9, 1.0 - min(pending_frac, 0.99))
+    return float(np.clip(actual / est_demand * tuner.kappa, 0.05, 20.0))
+
+
+# -- seeded draws ---------------------------------------------------------------
+def _draw_p(rng, M):
+    kind = rng.integers(3)
+    if kind == 0:
+        return rng.integers(0, cm.P_GRID + 1, M) / cm.P_GRID  # on the 1/16 grid
+    if kind == 1:
+        return rng.uniform(0.0, 1.0, M)  # off the grid
+    return np.where(rng.random(M) < 0.5, rng.uniform(0.0, 1.0, M), rng.integers(0, 2, M))
+
+
+def _draw_executor(rng):
+    M = int(rng.integers(1, 6))
+    cost = rng.uniform(0.05, 40.0, M) * (rng.random(M) < 0.9)  # some zero costs
+    return SimulatedEpochExecutor(
+        cost_us=cost,
+        relay=np.where(rng.random(M) < 0.3, 1.0, rng.uniform(0.0, 1.0, M)),
+        stage_bytes=rng.uniform(8.0, 200.0, M),
+        budget_core=float(rng.choice([0.0, rng.uniform(0.0, 0.2), rng.uniform(0.0, 2.0)])),
+        records_per_epoch=float(rng.choice([0.0, 38081.0, rng.uniform(1.0, 1e5)])),
+        output_bytes_per_epoch=float(rng.choice([0.0, rng.uniform(0.0, 1e4)])),
+        drain_overhead=float(rng.choice([1.0, cm.DRAIN_OVERHEAD, rng.uniform(1.0, 2.0)])),
+    )
+
+
+def _draws(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(N_DRAWS):
+        ex = _draw_executor(rng)
+        yield rng, ex, _draw_p(rng, len(ex.cost_us))
+
+
+def _assert_same(obs, ref):
+    for name in FIELDS:
+        a, b = getattr(obs, name), getattr(ref, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert obs.compute_used == ref.compute_used
+    assert obs.drained_bytes == ref.drained_bytes
+    assert obs.output_rows == ref.output_rows
+
+
+class TestBitIdentical:
+    def test_simulated_execute(self):
+        for _, ex, p in _draws(1):
+            _assert_same(ex.execute(p), _ref_execute(ex, p))
+
+    def test_measured_counters(self):
+        rng = np.random.default_rng(2)
+        for _ in range(N_DRAWS):
+            M = int(rng.integers(1, 6))
+            high = int(rng.choice([1, 50, 40_000]))
+            run = PartitionedRun(
+                result=None,
+                taken_counts=tuple(int(n) for n in rng.integers(0, high, M)),
+                drained_counts=tuple(int(n) for n in rng.integers(0, high, M)),
+                source_partial_rows=0,
+                sp_input_counts=(),
+                output_rows=int(rng.integers(0, 100)),
+            )
+            pipeline = SimpleNamespace(
+                cost_us=rng.uniform(0.05, 40.0, M), stage_bytes=rng.uniform(8.0, 200.0, M)
+            )
+            budget_s = float(rng.choice([0.0, rng.uniform(0.0, 2.0)]))
+            overhead = float(rng.choice([1.0, cm.DRAIN_OVERHEAD]))
+            _assert_same(
+                measured_observation(run, pipeline, budget_s, overhead),
+                _ref_measured(run, pipeline, budget_s, overhead),
+            )
+
+    def test_classify_query(self):
+        for rng, ex, p in _draws(3):
+            obs = ex.execute(p)
+            assert classify_query(obs, p) is _ref_classify_query(obs, p)
+            # Counters near and at the thresholds, and custom thresholds.
+            M = len(p)
+            levels = np.array([0.0, 0.05, cm.DRAINED_THRES, 0.1000001, 0.5, 1.0])
+            obs = EpochObservation(
+                arrived=obs.arrived, forwarded=obs.forwarded, processed=obs.processed,
+                drained=obs.drained, pending_frac=rng.choice(levels, M),
+                idle_frac=rng.choice(levels, M), compute_used=0.0,
+            )
+            thres = dict(
+                drained_thres=float(rng.choice(levels)), idle_thres=float(rng.choice(levels))
+            )
+            assert classify_query(obs, p, **thres) is _ref_classify_query(obs, p, **thres)
+
+    def test_fine_tuner_helpers(self):
+        for rng, ex, p in _draws(4):
+            M = len(p)
+            model = ProfileEstimates(
+                cost_us=ex.cost_us * rng.uniform(0.5, 1.0, M),
+                relay=ex.relay,
+                budget_core=ex.budget_core,
+            )
+            tuner = FineTuner(
+                relay=ex.relay, model=model, records_per_epoch=ex.records_per_epoch,
+                kappa=float(rng.uniform(0.05, 20.0)),
+            )
+            assert np.array_equal(
+                ffd_priority_order(ex.relay), _ref_ffd_priority_order(ex.relay)
+            )
+            for v in (*p.tolist(), float(rng.uniform(-0.5, 1.5))):
+                expect = float(np.clip(round(v * tuner.grid) / tuner.grid, 0.0, 1.0))
+                assert tuner._snap(v) == expect
+            op = int(rng.integers(M))
+            assert tuner._predicted_p(p, op) == _ref_predicted_p(tuner, p, op)
+            obs = ex.execute(p)
+            pending = float(np.max(obs.pending_frac))
+            expect = _ref_kappa(tuner, p, obs.compute_used, pending)
+            tuner.update_kappa(p, obs.compute_used, pending)
+            assert tuner.kappa == expect
+
+    def test_ffd_ties(self):
+        relay = np.array([0.5, 0.1, 0.5, 0.1, 1.0, 0.5])
+        assert np.array_equal(ffd_priority_order(relay), _ref_ffd_priority_order(relay))
+
+    def test_opcount_sweep_pinned(self):
+        assert sweep_operator_counts([2, 3], max_configs=600) == [
+            OpCountResult(n_ops=2, worst_epochs=10, mean_epochs=8.25925925925926, n_configs=324),
+            OpCountResult(n_ops=3, worst_epochs=22, mean_epochs=14.586666666666666, n_configs=600),
+        ]
+
+
+class TestInvariants:
+    def test_conservation_budget_and_pending(self):
+        for _, ex, p in _draws(5):
+            obs = ex.execute(p)
+            np.testing.assert_allclose(obs.processed + obs.drained, obs.arrived, rtol=1e-9, atol=0)
+            assert obs.compute_used <= ex.budget_core * ex.epoch_s
+            assert np.all((obs.pending_frac >= 0.0) & (obs.pending_frac <= 1.0))
+            assert np.all((obs.idle_frac >= 0.0) & (obs.idle_frac <= 1.0))
+
+    def test_shared_function_on_integer_counters(self):
+        rng = np.random.default_rng(6)
+        for _ in range(N_DRAWS):
+            M = int(rng.integers(1, 6))
+            fwd = rng.integers(0, 40_000, M).astype(float).tolist()
+            drn = rng.integers(0, 40_000, M).astype(float).tolist()
+            budget_s = float(rng.choice([0.0, rng.uniform(0.0, 2.0)]))
+            obs = epoch_observation(
+                [f + d for f, d in zip(fwd, drn)], fwd, drn,
+                rng.uniform(0.0, 40.0, M).tolist(), budget_s, sum,
+            )
+            np.testing.assert_allclose(obs.processed + obs.drained, obs.arrived, rtol=1e-9, atol=0)
+            assert obs.compute_used <= budget_s
+            assert np.all((obs.pending_frac >= 0.0) & (obs.pending_frac <= 1.0))
+            assert obs.drained_bytes == sum(obs.drained.tolist())
+
+
+RELAY = {"s2s": (1.0, 0.86, 0.02), "t2t": (1.0, 0.86, 1.0, 1.0, 0.05), "log": (1.0, 0.9, 1.0, 0.1)}
+
+
+def _shape_executor(kind, budget):
+    costs = {"s2s": cm.s2s_costs, "t2t": cm.t2t_costs, "log": cm.log_costs}[kind]()
+    rate = cm.log_records_per_sec() if kind == "log" else cm.pingmesh_records_per_sec()
+    return SimulatedEpochExecutor(
+        cost_us=np.array(costs.cost_us),
+        relay=np.array(RELAY[kind]),
+        stage_bytes=np.array(costs.stage_bytes),
+        budget_core=budget,
+        records_per_epoch=rate * cm.EPOCH_SECONDS,
+        group_reduce_idx=(len(RELAY[kind]) - 1,),
+    )
+
+
+class TestZeroBudget:
+    @pytest.mark.parametrize("kind", sorted(RELAY))
+    @pytest.mark.parametrize("mode", ["jarvis", "lp_only", "no_lp"])
+    @pytest.mark.parametrize("start", ["startup", "drop"])
+    def test_reaches_stable_all_drain_plan(self, kind, mode, start):
+        ex = _shape_executor(kind, 0.5 if start == "drop" else 0.0)
+        rt = JarvisRuntime(ex, len(RELAY[kind]), mode=mode, relay_hint=ex.relay)
+        if start == "drop":
+            rt.run_until_stable(60)
+            ex.budget_core = 0.0
+        reps = rt.run_until_stable(10)
+        last = reps[-1]
+        assert last.state is QueryState.STABLE
+        assert last.p[0] == 0.0
+        assert last.obs.compute_used == 0.0

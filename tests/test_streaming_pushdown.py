@@ -6,8 +6,10 @@ kept minimal.
 import numpy as np
 import pytest
 
+from repro.core import costmodel as cm
 from repro.oracle import assert_equivalent
 from repro.streaming.pushdown import (
+    _BatchExecutor,
     build_partitioned_stream,
     run_adaptive_stream,
     write_epoch_files,
@@ -94,3 +96,17 @@ class TestAdaptiveLoop:
         assert sum(history[-1].p) > 0.0
         # Drains shrink as load factors rise.
         assert history[-1].drained_records <= history[0].drained_records
+
+
+class TestBatchExecutor:
+    def test_deep_drains_pay_drain_overhead(self, bundle):
+        """A plan that drains at stage 1 ships its drains with the ×1.2
+        per-record framing overhead, as the batch Spark executor does."""
+        ex = _BatchExecutor(bundle.pipeline, budget_core=5.0)
+        ex.batch_df = bundle.input_df
+        obs = ex.execute(np.array([1.0, 0.0, 0.0]))
+        drained = ex.last_run.drained_counts
+        assert drained[0] == 0 and drained[1] > 0 and drained[2] == 0
+        expect = drained[1] * bundle.pipeline.stage_bytes[1] * cm.DRAIN_OVERHEAD
+        assert obs.drained_bytes == pytest.approx(expect, rel=1e-12)
+        assert cm.DRAIN_OVERHEAD > 1.0
