@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.costmodel import join_cost_us
+from repro.core.costmodel import join_cost_us, log_costs, s2s_costs, t2t_costs
 from repro.core.executor import SimulatedEpochExecutor
 from repro.core.proxy import QueryState
 from repro.core.runtime import JarvisRuntime
@@ -23,35 +23,26 @@ from repro.core.runtime import JarvisRuntime
 MODES = ("jarvis", "lp_only", "no_lp")
 
 
+#: Per query: its cost model, and the relay ratios and records per epoch
+#: of the T-8 runs. Group+Reduce is the last operator of each.
+_SHAPES = {
+    "s2s": (s2s_costs, [1.0, 0.86, 0.02], 38081.0),
+    "t2t": (t2t_costs, [1.0, 0.86, 1.0, 1.0, 0.05], 38081.0),
+    "log": (log_costs, [1.0, 0.9, 1.0, 0.1], 48437.0),
+}
+
+
 def _executor(kind: str, budget: float) -> SimulatedEpochExecutor:
-    if kind == "s2s":
-        return SimulatedEpochExecutor(
-            cost_us=np.array([0.2, 3.4, 22.0]),
-            relay=np.array([1.0, 0.86, 0.02]),
-            stage_bytes=np.array([86.0] * 3),
-            budget_core=budget,
-            records_per_epoch=38081.0,
-            group_reduce_idx=(2,),
-        )
-    if kind == "t2t":
-        return SimulatedEpochExecutor(
-            cost_us=np.array([0.2, 3.4, join_cost_us(500), 0.5, 10.7]),
-            relay=np.array([1.0, 0.86, 1.0, 1.0, 0.05]),
-            stage_bytes=np.array([86.0, 86.0, 86.0, 98.0, 24.0]),
-            budget_core=budget,
-            records_per_epoch=38081.0,
-            group_reduce_idx=(4,),
-        )
-    if kind == "log":
-        return SimulatedEpochExecutor(
-            cost_us=np.array([0.1, 1.0, 3.5, 2.1]),
-            relay=np.array([1.0, 0.9, 1.0, 0.1]),
-            stage_bytes=np.array([128.0, 128.0, 128.0, 40.0]),
-            budget_core=budget,
-            records_per_epoch=48437.0,
-            group_reduce_idx=(3,),
-        )
-    raise ValueError(kind)
+    query_costs, relay, records_per_epoch = _SHAPES[kind]
+    costs = query_costs()
+    return SimulatedEpochExecutor(
+        cost_us=np.array(costs.cost_us),
+        relay=np.array(relay),
+        stage_bytes=np.array(costs.stage_bytes, dtype=float),
+        budget_core=budget,
+        records_per_epoch=records_per_epoch,
+        group_reduce_idx=(len(relay) - 1,),
+    )
 
 
 def _measure(rt: JarvisRuntime, max_epochs: int = 40) -> tuple[int | None, bool]:

@@ -13,18 +13,24 @@ where ``R_k = prod_{j<=k} r_j`` is the cumulative relay ratio (``r_0=1``),
 ``c_i`` the per-record compute cost of operator ``i`` and ``C/N_r`` the
 compute budget per injected record.
 
-An optional ``byte_weights`` vector switches the objective to *drained
-bytes* (record size at each proxy x drain-path serialization overhead),
-which models the network more faithfully; the paper's formulation counts
-records, so that remains the default.
+The LP is solved in closed form. Write ``d_k = e_k - e_{k+1}`` (with
+``e_{M+1} = 0``) for the share of records whose *exit depth* is ``k``:
+they run operators ``1..k`` locally and drain at proxy ``k+1``, or never
+drain when ``k = M``.  Such a record costs ``C_k = sum_{i<=k} R_{i-1} c_i``
+and drains weight ``D_k = R_k`` (``D_M = 0``).  In ``d`` the LP is
+
+    minimize  sum_k D_k d_k   s.t.  sum_k C_k d_k <= C / N_r,
+                                    sum_k d_k = 1,   d >= 0,
+
+which has two constraints, so some optimal vertex puts all of ``d`` on
+one depth or mixes two: the "balanced subset plans".  Checking every
+such candidate is exact and needs no tolerance.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from repro.lp.simplex import LPError, linprog
 
 _EPS = 1e-9
 
@@ -69,9 +75,14 @@ def solve_plan(
     relay_ratios: np.ndarray,
     costs: np.ndarray,
     budget_per_record: float,
-    byte_weights: np.ndarray | None = None,
 ) -> PlanSolution:
     """Solve the Eq. 3 LP for one query pipeline on one data source.
+
+    The optimum is the lowest drained weight among (a) every single exit
+    depth whose cost fits the budget and (b) every pair of depths, one
+    within the budget and one above it that drains less, mixed so that
+    the compute used is exactly the budget.  Ties go to the candidate
+    that uses less compute.
 
     Args:
         relay_ratios: ``r_i`` per operator (output/input record count),
@@ -80,9 +91,6 @@ def solve_plan(
             or any unit consistent with ``budget_per_record``).
         budget_per_record: ``C / N_r`` — compute budget available per
             record injected into the query during an epoch.
-        byte_weights: optional per-proxy weight ``w_i`` (bytes x drain
-            overhead of a record arriving at operator ``i``); switches
-            the objective from drained records to drained bytes.
 
     Returns:
         PlanSolution with optimal ``e``, recovered ``p`` and predictions.
@@ -96,50 +104,45 @@ def solve_plan(
         return PlanSolution(
             e=np.zeros(0), p=np.zeros(0), drained_frac=0.0, compute_per_record=0.0
         )
-    if np.any(r < -_EPS) or np.any(r > 1 + _EPS):
+    r_list, c_list = r.tolist(), c.tolist()
+    if min(r_list) < -_EPS or max(r_list) > 1 + _EPS:
         raise ValueError("relay ratios must lie in [0, 1]")
-    if np.any(c < -_EPS):
+    if min(c_list) < -_EPS:
         raise ValueError("costs must be non-negative")
     if budget_per_record < 0:
         raise ValueError("budget must be non-negative")
 
-    R = cumulative_relay(r)  # R[i-1] multiplies e_i terms (0-indexed: R[i])
-    w = R if byte_weights is None else R * np.asarray(byte_weights, dtype=float)
+    budget = float(budget_per_record)
+    # Depth points (C_k, D_k), k = 0..M.
+    R = cumulative_relay(r).tolist()
+    D = R + [0.0]
+    C = [0.0]
+    for Rk, ck in zip(R, c_list):
+        C.append(C[-1] + Rk * ck)
 
-    # Objective sum_i w_i (e_{i-1} - e_i) = const - sum over coefficient
-    # collection: coefficient of e_i is (w_{i+1} - w_i) for i < M-1 and
-    # -w_{M-1} for the last (0-indexed).
-    obj = np.zeros(M)
-    for i in range(M):
-        obj[i] -= w[i]
-        if i + 1 < M:
-            obj[i] += w[i + 1]
+    # Best (drained, compute) so far, its depths j and k, and the share
+    # lam of records at depth k (the rest exit at depth j).
+    best, j_best, k_best, lam_best = (D[0], C[0]), 0, 0, 0.0
+    for j in range(M + 1):
+        if C[j] > budget:
+            continue
+        if (D[j], C[j]) < best:
+            best, j_best, k_best, lam_best = (D[j], C[j]), j, j, 0.0
+        for k in range(M + 1):
+            if C[k] > budget and D[k] < D[j]:
+                lam = (budget - C[j]) / (C[k] - C[j])
+                key = (D[j] + lam * (D[k] - D[j]), budget)
+                if key < best:
+                    best, j_best, k_best, lam_best = key, j, k, lam
 
-    # Budget row + chain rows (e_1 <= 1, e_i - e_{i-1} <= 0).
-    A_ub = np.zeros((1 + M, M))
-    b_ub = np.zeros(1 + M)
-    A_ub[0] = R * c
-    b_ub[0] = budget_per_record
-    A_ub[1, 0] = 1.0
-    b_ub[1] = 1.0
-    for i in range(1, M):
-        A_ub[1 + i, i] = 1.0
-        A_ub[1 + i, i - 1] = -1.0
-    try:
-        res = linprog(obj, A_ub=A_ub, b_ub=b_ub)
-    except LPError:
-        # Budget 0 with zero-cost prefix could in principle still be
-        # feasible (e = 0 always is), so LPError here is a genuine bug.
-        raise
-    e = np.clip(res.x, 0.0, 1.0)
-    # Enforce monotonicity against round-off.
-    for i in range(1, M):
-        e[i] = min(e[i], e[i - 1])
-    prev = np.concatenate(([1.0], e[:-1]))
-    drained = float(np.sum(w * (prev - e))) if byte_weights is not None else float(
-        np.sum(R * (prev - e))
-    )
-    compute = float(np.sum(R * c * e))
+    # e_i is the suffix sum of d past depth i: 1 above the shallower
+    # depth, the deeper depth's share between the two, 0 below.
+    if j_best <= k_best:
+        lo, hi, deep = j_best, k_best, lam_best
+    else:
+        lo, hi, deep = k_best, j_best, 1.0 - lam_best
+    e = np.clip(np.array([1.0] * lo + [deep] * (hi - lo) + [0.0] * (M - hi)), 0.0, 1.0)
+    drained, compute = best
     return PlanSolution(e=e, p=e_to_p(e), drained_frac=drained, compute_per_record=compute)
 
 
@@ -148,7 +151,6 @@ def brute_force_plan(
     costs: np.ndarray,
     budget_per_record: float,
     grid: int = 20,
-    byte_weights: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float]:
     """Exhaustive grid search over ``e`` for verifying ``solve_plan``.
 
@@ -160,10 +162,9 @@ def brute_force_plan(
     c = np.asarray(costs, dtype=float)
     M = r.shape[0]
     R = cumulative_relay(r)
-    w = R if byte_weights is None else R * np.asarray(byte_weights, dtype=float)
     levels = np.linspace(0.0, 1.0, grid + 1)
     best_e = np.zeros(M)
-    best_obj = float(np.sum(w))  # e = 0 baseline: everything drains at proxy 1.
+    best_obj = float(np.sum(R))  # e = 0 baseline: everything drains at proxy 1.
 
     def rec(i: int, prefix: list[float]) -> None:
         nonlocal best_e, best_obj
@@ -172,7 +173,7 @@ def brute_force_plan(
             if float(np.sum(R * c * e)) > budget_per_record + 1e-12:
                 return
             prev = np.concatenate(([1.0], e[:-1]))
-            obj = float(np.sum(w * (prev - e)))
+            obj = float(np.sum(R * (prev - e)))
             if obj < best_obj - 1e-12:
                 best_obj = obj
                 best_e = e

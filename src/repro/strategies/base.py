@@ -27,10 +27,6 @@ class Outcome:
     compute_core: float
     p: np.ndarray
 
-    @property
-    def network_bound(self) -> bool:
-        return self.throughput_mbps < 0.999 * 26.2 and self.traffic_mbps > 0
-
 
 class Strategy(abc.ABC):
     """A query-partitioning policy."""
