@@ -3,59 +3,42 @@
 Every epoch each runtime (one per query per source) runs its executor's
 accounting, classifies the query and, while adapting, asks the
 fine-tuner for the next load factors. These time one call of each on
-the S2S, T2T and Log query shapes of ``repro.core.costmodel``.
+the S2S, T2T and Log query shapes of the T-8 experiment
+(``repro.experiments.fig8.executor``).
 """
 import numpy as np
 import pytest
 
-from repro.core import costmodel as cm
-from repro.core.executor import ProfileEstimates, SimulatedEpochExecutor
+from repro.core.executor import ProfileEstimates
 from repro.core.proxy import QueryState, classify_query
 from repro.core.stepwise import FineTuner
+from repro.experiments import fig8
 
-#: Measured relay ratios per shape (as the T-8 experiment uses them).
-SHAPES = {
-    "s2s": (cm.s2s_costs, (1.0, 0.86, 0.02), cm.pingmesh_records_per_sec),
-    "t2t": (cm.t2t_costs, (1.0, 0.86, 1.0, 1.0, 0.05), cm.pingmesh_records_per_sec),
-    "log": (cm.log_costs, (1.0, 0.9, 1.0, 0.1), cm.log_records_per_sec),
-}
+KINDS = ("log", "s2s", "t2t")
 #: A budget tight enough that the all-local plan is congested.
 BUDGET_CORE = 0.2
 
 
-def _executor(kind: str) -> SimulatedEpochExecutor:
-    costs, relay, rate = SHAPES[kind]
-    c = costs()
-    return SimulatedEpochExecutor(
-        cost_us=np.array(c.cost_us),
-        relay=np.array(relay),
-        stage_bytes=np.array(c.stage_bytes),
-        budget_core=BUDGET_CORE,
-        records_per_epoch=rate() * cm.EPOCH_SECONDS,
-        group_reduce_idx=(len(relay) - 1,),
-    )
-
-
-@pytest.mark.parametrize("kind", sorted(SHAPES))
+@pytest.mark.parametrize("kind", KINDS)
 def test_execute(benchmark, kind):
-    ex = _executor(kind)
+    ex = fig8.executor(kind, BUDGET_CORE)
     p = np.full(len(ex.relay), 0.5)
     obs = benchmark(ex.execute, p)
     assert obs.compute_used <= BUDGET_CORE * ex.epoch_s
 
 
-@pytest.mark.parametrize("kind", sorted(SHAPES))
+@pytest.mark.parametrize("kind", KINDS)
 def test_classify_query(benchmark, kind):
-    ex = _executor(kind)
+    ex = fig8.executor(kind, BUDGET_CORE)
     p = np.ones(len(ex.relay))
     obs = ex.execute(p)
     assert benchmark(classify_query, obs, p) is QueryState.CONGESTED
 
 
-@pytest.mark.parametrize("kind", sorted(SHAPES))
+@pytest.mark.parametrize("kind", KINDS)
 def test_next_p(benchmark, kind):
     """The first move of a model-predicted search on a congested query."""
-    ex = _executor(kind)
+    ex = fig8.executor(kind, BUDGET_CORE)
     p = np.ones(len(ex.relay))
     model = ProfileEstimates(cost_us=ex.cost_us, relay=ex.relay, budget_core=BUDGET_CORE)
 

@@ -1,8 +1,9 @@
 """Benchmark: data-level partitioned execution on Spark at bench scale.
 
 ~200K probe records per run (the repo's SF~=0.1 equivalent for this
-schema); exercises the full proxy-split / drain / partial-merge path
-including shuffles (broadcast joins disabled by the session fixture).
+schema); exercises the full proxy-split / drain path and the one-groupBy
+Group+Reduce, including shuffles (broadcast joins disabled by the
+session fixture).
 """
 import numpy as np
 import pytest

@@ -14,8 +14,9 @@ Two implementations of the same interface:
   trace through :func:`repro.core.partition_exec.run_partitioned`;
   drain counts and relay ratios are *measured* from the data, compute
   accounting uses the calibrated per-record model (a shared local JVM
-  cannot meter a 1-core budget). Used by integration tests and the
-  Structured Streaming demo.
+  cannot meter a 1-core budget). The adaptive stream and its demo use
+  the streaming micro-batch executor instead
+  (:class:`repro.streaming.pushdown._BatchExecutor`).
 
 Both, and the streaming micro-batch executor, turn their per-proxy
 record counts into an :class:`EpochObservation` with one function,

@@ -9,11 +9,11 @@ carries:
 * the metadata the partitioning algorithms need (kind, per-record model
   cost, wire size of its input records).
 
-Stateful G+R exposes the incremental ``partial`` / ``merge`` split that
-makes data-level partitioning lossless: partial aggregates computed on
-the data source merge with partial aggregates computed on the stream
-processor (paper §IV-B rule R-1: only incrementally-updatable
-aggregations are supported near data).
+Stateful G+R accepts only incrementally-updatable aggregations (paper
+§IV-B rule R-1), which is what makes data-level partitioning lossless:
+partial aggregates computed on the data source merge with those
+computed on the stream processor, and one Spark ``groupBy`` does both
+steps (partial aggregation before the shuffle, merge after it).
 
 Every stateless operator must preserve the ``record_id`` column — the
 control proxies hash it to split records deterministically.
@@ -153,80 +153,18 @@ def static_join_op(fn: Callable[[DataFrame], DataFrame], *, cost_us: float,
 class GroupReduce(Operator):
     """Windowed group-by + incrementally-mergeable reductions.
 
-    ``partial`` computes mergeable partial aggregates on any subset of
-    the input; ``merge`` combines partial-aggregate rows (from the data
-    source and the stream processor) into the final result — the pair
-    satisfies ``merge(partial(A) ∪ partial(B)) == apply(A ∪ B)`` for any
-    disjoint record sets A, B, which is exactly what makes Jarvis'
-    data-level partitioning lossless.
+    Every aggregate is mergeable (rule R-1), so one ``groupBy`` over any
+    mix of source- and SP-side records is the data-level partitioned
+    result: Catalyst's partial aggregation before the exchange is the
+    source-side partial step and the final aggregation after it merges
+    both sides.
     """
 
     keys: tuple[str, ...] = ()
     aggs: tuple[tuple[str, AggSpec], ...] = ()
 
-    def _partial_exprs(self) -> list[Column]:
-        cols: list[Column] = []
-        for out, spec in self.aggs:
-            if spec.kind == "count":
-                cols.append(F.count(F.lit(1)).alias(f"__{out}_cnt"))
-            elif spec.kind == "sum":
-                cols.append(F.sum(spec.col).alias(f"__{out}_sum"))
-            elif spec.kind == "min":
-                cols.append(F.min(spec.col).alias(f"__{out}_min"))
-            elif spec.kind == "max":
-                cols.append(F.max(spec.col).alias(f"__{out}_max"))
-            elif spec.kind == "avg":
-                cols.append(F.sum(spec.col).alias(f"__{out}_sum"))
-                cols.append(F.count(spec.col).alias(f"__{out}_cnt"))
-        return cols
-
-    def partial(self, df: DataFrame) -> DataFrame:
-        """Partial (mergeable) aggregates of ``df`` per group."""
-        return df.groupBy(*self.keys).agg(*self._partial_exprs())
-
-    def merge(self, partials: DataFrame) -> DataFrame:
-        """Merge partial-aggregate rows into the final query output."""
-        merge_cols: list[Column] = []
-        final_cols: list[Column] = [F.col(k) for k in self.keys]
-        seen: set[str] = set()
-        for out, spec in self.aggs:
-            if spec.kind == "count":
-                merge_cols.append(F.sum(f"__{out}_cnt").alias(f"__{out}_cnt"))
-                final_cols.append(F.col(f"__{out}_cnt").alias(out))
-            elif spec.kind == "sum":
-                merge_cols.append(F.sum(f"__{out}_sum").alias(f"__{out}_sum"))
-                final_cols.append(F.col(f"__{out}_sum").alias(out))
-            elif spec.kind == "min":
-                merge_cols.append(F.min(f"__{out}_min").alias(f"__{out}_min"))
-                final_cols.append(F.col(f"__{out}_min").alias(out))
-            elif spec.kind == "max":
-                merge_cols.append(F.max(f"__{out}_max").alias(f"__{out}_max"))
-                final_cols.append(F.col(f"__{out}_max").alias(out))
-            elif spec.kind == "avg":
-                for suffix in ("sum", "cnt"):
-                    col = f"__{out}_{suffix}"
-                    if col not in seen:
-                        merge_cols.append(F.sum(col).alias(col))
-                        seen.add(col)
-                final_cols.append(
-                    (F.col(f"__{out}_sum") / F.col(f"__{out}_cnt")).alias(out)
-                )
-        merged = partials.groupBy(*self.keys).agg(*merge_cols)
-        return merged.select(*final_cols)
-
-    def apply(self, df: DataFrame) -> DataFrame:
-        """Full (unpartitioned) semantics — reference for the oracle."""
-        return self.merge(self.partial(df))
-
-    def direct(self, df: DataFrame) -> DataFrame:
-        """Single-aggregation form of ``apply`` (one groupBy).
-
-        Semantically identical to ``apply`` but with no chained
-        aggregation — required by Structured Streaming, where stacked
-        stateful operators trip the global-watermark correctness check.
-        Spark's own pre-shuffle partial hash aggregation provides the
-        source-side partial step in that setting.
-        """
+    def apply(self, df: DataFrame, *extra: Column) -> DataFrame:
+        """The query output of ``df`` per group, plus any ``extra`` aggregates."""
         cols: list[Column] = []
         for out, spec in self.aggs:
             if spec.kind == "count":
@@ -239,7 +177,7 @@ class GroupReduce(Operator):
                 cols.append(F.max(spec.col).alias(out))
             elif spec.kind == "avg":
                 cols.append(F.avg(spec.col).alias(out))
-        return df.groupBy(*self.keys).agg(*cols)
+        return df.groupBy(*self.keys).agg(*cols, *extra)
 
 
 def group_reduce_op(keys: list[str], aggs: dict[str, tuple[str, str | None]], *,

@@ -19,10 +19,13 @@ by record, so *where* a record runs them does not change what they
 produce, and the data path is one pass:
 
 1. every record goes once through the stateless prefix;
-2. the terminal Group+Reduce partial-aggregates by ``(keys, exit == M)``
-   — the rows with ``exit == M`` are the source's partial aggregates,
-   the others the SP's — and ``GroupReduce.merge`` combines both sides.
-   A pipeline without a G+R returns the prefix output itself.
+2. the terminal Group+Reduce is one ``groupBy``: its aggregates are
+   mergeable (rule R-1), so Spark's partial aggregation before the
+   shuffle stands for both sides' partial aggregates and the final
+   aggregation after it for the merge.  One extra aggregate,
+   ``max(exit == M)``, marks the groups for which the source ships a
+   partial aggregate.  A pipeline without a G+R returns the prefix
+   output itself.
 
 For *any* ``p`` the merged output equals the unpartitioned query — the
 oracle tests pin this invariant.
@@ -31,19 +34,20 @@ The exit stage is recomputed from ``record_id`` wherever it is needed
 (an operator such as a projection may drop any other column).  The
 proxy counters are ``pyspark.sql.Observation`` metrics on the same plan:
 at operator ``i``'s input, *arrived* counts ``exit >= i`` and *drained*
-counts ``exit == i``.  So the action that produces the result also
+counts ``exit == i``; on the output, the rows and the groups marked
+as source partials.  So the action that produces the result also
 produces every counter; :func:`run_partitioned` runs that action itself
 (``localCheckpoint``) and returns plain ints.
 
 Mapping to Spark (per the reproduction hint): data sources are stream
 partitions; the prefix is narrow, pre-shuffle work; the drain paths and
-the final merge are the shuffle.  :mod:`repro.streaming.pushdown`
-builds its streaming plan from the same single pass.
+the Group+Reduce's merge are the shuffle.  :mod:`repro.streaming.pushdown`
+builds its streaming plan from the same single pass and ``groupBy``.
 """
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from pyspark.sql import Column, DataFrame, Observation
@@ -55,7 +59,7 @@ from repro.core.pipeline import Pipeline, keep_observations
 #: Hash-bucket resolution for load-factor splits (1e6 buckets ≈ 1e-6 p
 #: granularity, far finer than the runtime's 1/16 grid).
 _BUCKETS = 1_000_000
-#: Extra partial-aggregate key: true on the source's partial aggregates.
+#: Per-group flag: true where the source ships a partial aggregate.
 _SRC = "__src"
 
 
@@ -180,14 +184,13 @@ def run_partitioned(
     exit_ = exit_stage(p, seed)
     result = single_pass(df, pipeline, exit_, observation)
     gr = pipeline.terminal_group_reduce
+    output = [F.count(F.lit(1)).alias("rows")]
     if gr is not None:
-        tagged = result.withColumn(_SRC, exit_ == pipeline.n_ops)
-        partials = replace(gr, keys=gr.keys + (_SRC,)).partial(tagged)
-        partials = partials.observe(
-            observation("source_partial"), F.count_if(F.col(_SRC)).alias("rows")
-        )
-        result = gr.merge(partials)
-    result = result.observe(observation("output"), F.count(F.lit(1)).alias("rows"))
+        # A group has a source-side partial aggregate iff one of its
+        # records ran every operator on the source.
+        result = gr.apply(result, F.max(exit_ == pipeline.n_ops).alias(_SRC))
+        output.append(F.count_if(F.col(_SRC)).alias("source_partial"))
+    result = result.observe(observation("output"), *output).drop(_SRC)
     # Observation.get blocks until an action has run on the observed
     # plan: run it here so no counter waits on the caller.
     with keep_observations(df.sparkSession):
@@ -195,13 +198,14 @@ def run_partitioned(
 
     proxies = [obs[f"proxy{i}"].get for i in range(pipeline.n_ops)]
     sp_input = obs["sp_input"].get
+    out = obs["output"].get
     return PartitionedRun(
         result=result,
         taken_counts=tuple(int(m["arrived"] - m["drained"]) for m in proxies),
         drained_counts=tuple(int(m["drained"]) for m in proxies),
-        source_partial_rows=int(obs["source_partial"].get["rows"]) if gr is not None else 0,
+        source_partial_rows=int(out.get("source_partial", 0)),
         sp_input_counts=tuple(int(sp_input[f"stage{i}"]) for i in range(pipeline.n_ops)),
-        output_rows=int(obs["output"].get["rows"]),
+        output_rows=int(out["rows"]),
     )
 
 

@@ -32,7 +32,8 @@ _SHAPES = {
 }
 
 
-def _executor(kind: str, budget: float) -> SimulatedEpochExecutor:
+def executor(kind: str, budget: float) -> SimulatedEpochExecutor:
+    """The simulated T-8 executor of query ``kind`` at ``budget`` cores."""
     query_costs, relay, records_per_epoch = _SHAPES[kind]
     costs = query_costs()
     return SimulatedEpochExecutor(
@@ -61,7 +62,7 @@ def run() -> list[dict]:
     }
     for kind, (budget0, changes) in scenarios.items():
         for mode in MODES:
-            ex = _executor(kind, budget0)
+            ex = executor(kind, budget0)
             rt = JarvisRuntime(ex, len(ex.cost_us), mode=mode, relay_hint=ex.relay)
             rt.run_until_stable(80)  # warm-up to the initial stable plan
             for label, (what, value) in changes:

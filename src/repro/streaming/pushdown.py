@@ -51,10 +51,10 @@ def build_partitioned_stream(
     counters for ``p`` are observed as named metrics (``proxy<i>`` with
     ``arrived``/``drained``, ``sp_input`` with ``stage<i>``) in each
     micro-batch's ``StreamingQueryProgress.observedMetrics``. The terminal
-    G+R is one groupBy: streaming forbids chained stateful operators, and
-    Catalyst's partial aggregation before the exchange is the
-    source-side partial step. The result equals the unpartitioned query
-    for any ``p``.
+    G+R is one groupBy, as in the batch path (Structured Streaming
+    forbids chained stateful operators): Catalyst's partial aggregation
+    before the exchange is the source-side partial step. The result equals the
+    unpartitioned query for any ``p``.
     """
     p = np.asarray(p, dtype=float)
     if p.shape != (pipeline.n_ops,):
@@ -62,7 +62,7 @@ def build_partitioned_stream(
     gr = pipeline.terminal_group_reduce
     if gr is None:
         raise ValueError("streaming pushdown requires a terminal G+R")
-    return gr.direct(single_pass(stream_df, pipeline, exit_stage(p, seed), lambda name: name))
+    return gr.apply(single_pass(stream_df, pipeline, exit_stage(p, seed), lambda name: name))
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from repro.core.partition_exec import PartitionedRun
 from repro.core.proxy import EpochObservation, ProxyState, QueryState, classify_query
 from repro.core.runtime import JarvisRuntime
 from repro.core.stepwise import FineTuner, ffd_priority_order
+from repro.experiments import fig8
 
 N_DRAWS = 3000
 FIELDS = ("arrived", "forwarded", "processed", "drained", "pending_frac", "idle_frac")
@@ -311,29 +312,13 @@ class TestInvariants:
             assert obs.drained_bytes == sum(obs.drained.tolist())
 
 
-RELAY = {"s2s": (1.0, 0.86, 0.02), "t2t": (1.0, 0.86, 1.0, 1.0, 0.05), "log": (1.0, 0.9, 1.0, 0.1)}
-
-
-def _shape_executor(kind, budget):
-    costs = {"s2s": cm.s2s_costs, "t2t": cm.t2t_costs, "log": cm.log_costs}[kind]()
-    rate = cm.log_records_per_sec() if kind == "log" else cm.pingmesh_records_per_sec()
-    return SimulatedEpochExecutor(
-        cost_us=np.array(costs.cost_us),
-        relay=np.array(RELAY[kind]),
-        stage_bytes=np.array(costs.stage_bytes),
-        budget_core=budget,
-        records_per_epoch=rate * cm.EPOCH_SECONDS,
-        group_reduce_idx=(len(RELAY[kind]) - 1,),
-    )
-
-
 class TestZeroBudget:
-    @pytest.mark.parametrize("kind", sorted(RELAY))
+    @pytest.mark.parametrize("kind", ["log", "s2s", "t2t"])
     @pytest.mark.parametrize("mode", ["jarvis", "lp_only", "no_lp"])
     @pytest.mark.parametrize("start", ["startup", "drop"])
     def test_reaches_stable_all_drain_plan(self, kind, mode, start):
-        ex = _shape_executor(kind, 0.5 if start == "drop" else 0.0)
-        rt = JarvisRuntime(ex, len(RELAY[kind]), mode=mode, relay_hint=ex.relay)
+        ex = fig8.executor(kind, 0.5 if start == "drop" else 0.0)
+        rt = JarvisRuntime(ex, len(ex.relay), mode=mode, relay_hint=ex.relay)
         if start == "drop":
             rt.run_until_stable(60)
             ex.budget_core = 0.0

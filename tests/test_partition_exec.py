@@ -215,7 +215,7 @@ def reference_counters(df, pipeline, p, seed=0):
         if i < len(prefix):
             local = prefix[i].apply(local.filter(cond))
         else:
-            source_partial_rows = gr.partial(local.filter(cond)).count()
+            source_partial_rows = gr.apply(local.filter(cond)).count()
     return {
         "taken_counts": tuple(taken),
         "drained_counts": tuple(drained),
@@ -308,6 +308,15 @@ class TestJobsPerCall:
                     spark, lambda: run_partitioned(s2s.input_df, pl, p)
                 ))
         assert len(seen) == 1, seen
+
+    @pytest.mark.parametrize("query, bound", [("s2s", 2), ("logq", 2), ("t2t", 5)])
+    def test_jobs_per_call_bound(self, request, spark, query, bound):
+        """One aggregation per window: the merge adds no Spark job of its own."""
+        b = request.getfixturevalue(query)
+        M = b.pipeline.n_ops
+        for p in (np.zeros(M), np.ones(M), np.array(GRID_P[M])):
+            jobs = jobs_per_call(spark, lambda: run_partitioned(b.input_df, b.pipeline, p))
+            assert jobs <= bound, (p, jobs)
 
     def test_stage_counts_jobs_do_not_grow_with_depth(self, spark, s2s):
         w, f, gr = s2s.pipeline.ops

@@ -152,11 +152,15 @@ def test_plan_fits_budget_at_any_cost_scale(m, seed, log_unit, frac):
     assert float(np.sum(R * c * sol.e)) <= b * (1 + 1e-9)
     assert np.all((sol.e >= 0.0) & (sol.e <= 1.0))
     assert np.all(np.diff(sol.e) <= 0.0)
-    # Drained records do not depend on the cost unit, and the grid
-    # search's feasibility slack is absolute (1e-12), so it runs in cost
-    # units where the costs are O(1).
-    _, best = brute_force_plan(r, c / unit, b / unit, grid=8)
+    _, best = brute_force_plan(r, c, b, grid=8)
     assert sol.drained_frac <= best + 1e-6
+
+
+def test_brute_force_slack_is_relative_to_budget():
+    """At zero budget the grid search runs nothing locally, however cheap."""
+    e, drained = brute_force_plan(np.array([1.0]), np.array([1e-13]), 0.0)
+    assert e.tolist() == [0.0]
+    assert drained == 1.0
 
 
 def test_validation_errors():
