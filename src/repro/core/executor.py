@@ -10,16 +10,17 @@ Two implementations of the same interface:
   underestimated, grouping relay ratio overestimated), which is exactly
   why LP-only fails to converge and Jarvis needs fine-tuning epochs.
 
-* :class:`SparkEpochExecutor` — executes real windows of the synthetic
-  trace through :func:`repro.core.partition_exec.run_partitioned`;
-  drain counts and relay ratios are *measured* from the data, compute
-  accounting uses the calibrated per-record model (a shared local JVM
-  cannot meter a 1-core budget). The adaptive stream and its demo use
-  the streaming micro-batch executor instead
-  (:class:`repro.streaming.pushdown._BatchExecutor`).
+* :class:`SparkEpochExecutor` — executes real windows through
+  :func:`repro.core.partition_exec.run_partitioned`: round-robin over
+  a cached trace, or, in its streaming subclass
+  (:class:`repro.streaming.pushdown._BatchExecutor`), the current
+  micro-batch. Drain counts and relay ratios are the run's own proxy
+  counters, so a Profile epoch is an all-drain epoch plus arithmetic;
+  compute accounting uses the calibrated per-record model (a shared
+  local JVM cannot meter a 1-core budget).
 
-Both, and the streaming micro-batch executor, turn their per-proxy
-record counts into an :class:`EpochObservation` with one function,
+Both turn their per-proxy record counts into an
+:class:`EpochObservation` with one function,
 :func:`epoch_observation`. It runs once per epoch per query per source,
 so it works on Python floats: NumPy's per-call overhead dominates on
 arrays of a few elements.
@@ -33,8 +34,9 @@ import numpy as np
 from pyspark.sql import DataFrame
 
 from repro.core import costmodel as cm
+from repro.core.operators import window_id
 from repro.core.partition_exec import PartitionedRun, drained_bytes, run_partitioned, wire_bytes
-from repro.core.pipeline import Pipeline
+from repro.core.pipeline import Pipeline, relay_ratios
 from repro.core.proxy import EpochObservation
 
 
@@ -247,11 +249,12 @@ class SimulatedEpochExecutor:
 class SparkEpochExecutor:
     """Epoch execution over real data via ``run_partitioned``.
 
-    Each epoch draws the next window (``window_id`` round-robin) from a
-    pre-generated trace and executes it under the current load factors.
-    Relay ratios and drain counts are measured from the data; compute
+    Each epoch draws the next window (round-robin) from a pre-generated
+    trace and executes it under the current load factors. Relay ratios
+    and drain counts are the run's own proxy counters; compute
     accounting uses the calibrated per-record cost model and the
-    configured budget.
+    configured budget. A subclass that feeds other windows overrides
+    :meth:`run` only.
     """
 
     df: DataFrame
@@ -260,67 +263,43 @@ class SparkEpochExecutor:
     epoch_s: float = cm.EPOCH_SECONDS
     drain_overhead: float = cm.DRAIN_OVERHEAD
     seed: int = 0
+    #: The latest epoch's run, result and counters.
+    last_run: PartitionedRun | None = None
     _windows: list[int] = field(default_factory=list)
     _epoch_no: int = 0
 
     def __post_init__(self) -> None:
-        from pyspark.sql import functions as F
-
-        wcol = F.floor(F.col("ts_s") / 10).cast("long")
-        self.df = self.df.withColumn("__w", wcol).cache()
+        self.df = self.df.withColumn("__w", window_id()).cache()
         self._windows = [
             r["__w"] for r in self.df.select("__w").distinct().orderBy("__w").collect()
         ]
 
-    def _next_window(self) -> DataFrame:
+    def run(self, p: np.ndarray) -> PartitionedRun:
+        """The next trace window through the data path under ``p``."""
         w = self._windows[self._epoch_no % len(self._windows)]
         self._epoch_no += 1
-        return self.df.filter(f"__w = {w}").drop("__w")
+        win = self.df.filter(f"__w = {w}").drop("__w")
+        return run_partitioned(win, self.pipeline, p, seed=self.seed + self._epoch_no)
 
     def execute(self, p: np.ndarray) -> EpochObservation:
-        p = np.asarray(p, dtype=float)
-        win = self._next_window()
-        run = run_partitioned(win, self.pipeline, p, seed=self.seed + self._epoch_no)
+        """Run one epoch under load factors ``p``."""
+        self.last_run = self.run(p)
         return measured_observation(
-            run, self.pipeline, self.budget_core * self.epoch_s, self.drain_overhead
+            self.last_run, self.pipeline, self.budget_core * self.epoch_s, self.drain_overhead
         )
 
     def profile(self) -> tuple[ProfileEstimates, EpochObservation]:
-        """Measure relay ratios from a real window (possibly truncated).
+        """One Profile epoch: drain everything, read relays off its counters.
 
-        The calibration sample for each operator is capped at what the
-        budget share can process in one epoch — so an expensive G+R
-        measured on a truncated sample genuinely reports a higher
-        group-per-record ratio, the bias the paper describes.
+        Every record passes each stateless operator once whatever ``p``
+        is, so the all-drain run counts the same stage totals as an
+        unpartitioned pass (:meth:`Pipeline.stage_counts`): the relay
+        ratios cost no job of their own.
         """
-        win = self._next_window().cache()
-        M = self.pipeline.n_ops
-        share_s = self.budget_core * self.epoch_s / M
-        cur = win
-        relays: list[float] = []
-        n_in = cur.count()
-        for i, op in enumerate(self.pipeline.stateless_prefix):
-            afford = int(share_s / (self.pipeline.cost_us[i] * 1e-6)) if self.pipeline.cost_us[i] > 0 else n_in
-            sample = cur.limit(min(n_in, max(afford, 1)))
-            n_s = sample.count()
-            out = op.apply(sample)
-            n_o = out.count()
-            relays.append(min(1.0, n_o / n_s) if n_s else 1.0)
-            cur = op.apply(cur)
-            n_in = cur.count()
-        gr = self.pipeline.terminal_group_reduce
-        if gr is not None:
-            i = M - 1
-            afford = int(share_s / (self.pipeline.cost_us[i] * 1e-6)) if self.pipeline.cost_us[i] > 0 else n_in
-            sample = cur.limit(min(n_in, max(afford, 1)))
-            n_s = sample.count()
-            n_o = gr.apply(sample).count()
-            relays.append(min(1.0, n_o / n_s) if n_s else 1.0)
-        win.unpersist()
+        obs = self.execute(np.zeros(self.pipeline.n_ops))
         est = ProfileEstimates(
-            cost_us=self.pipeline.cost_us.copy(),
-            relay=np.array(relays),
+            cost_us=self.pipeline.cost_us,
+            relay=relay_ratios(self.last_run.stage_counts),
             budget_core=self.budget_core,
         )
-        obs = self.execute(np.zeros(M))
         return est, obs

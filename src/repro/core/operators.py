@@ -29,6 +29,10 @@ from pyspark.sql import functions as F
 #: Column every stateless operator must carry through (proxy split key).
 RECORD_ID = "record_id"
 
+#: Tumbling-window length (s): the queries' ``window_id`` and one epoch
+#: of the trace executors.
+WINDOW_S = 10
+
 #: Aggregations that are incrementally updatable (mergeable) — rule R-1.
 MERGEABLE_AGGS = frozenset({"count", "sum", "min", "max", "avg"})
 
@@ -95,13 +99,15 @@ class StatelessOp(Operator):
         return out
 
 
-def window_op(*, ts_col: str = "ts_s", window_s: int = 10, cost_us: float,
-              input_bytes: float) -> StatelessOp:
-    """Tumbling-window assignment: adds ``window_id = floor(ts/window)``."""
+def window_id() -> Column:
+    """The tumbling window of a record: ``floor(ts_s / WINDOW_S)``."""
+    return F.floor(F.col("ts_s") / F.lit(WINDOW_S)).cast("long")
+
+
+def window_op(*, cost_us: float, input_bytes: float) -> StatelessOp:
+    """Tumbling-window assignment: adds ``window_id`` (:func:`window_id`)."""
     def fn(df: DataFrame) -> DataFrame:
-        return df.withColumn(
-            "window_id", F.floor(F.col(ts_col) / F.lit(window_s)).cast("long")
-        )
+        return df.withColumn("window_id", window_id())
 
     return StatelessOp(
         name="W", kind="window", cost_us=cost_us, input_bytes=input_bytes, fn=fn

@@ -33,7 +33,9 @@ oracle tests pin this invariant.
 The exit stage is recomputed from ``record_id`` wherever it is needed
 (an operator such as a projection may drop any other column).  The
 proxy counters are ``pyspark.sql.Observation`` metrics on the same plan:
-at operator ``i``'s input, *arrived* counts ``exit >= i`` and *drained*
+at operator ``i``'s input, *total* counts every record (each one passes
+the stateless prefix once, so this is the stage count the Profile phase
+turns into relay ratios), *arrived* counts ``exit >= i`` and *drained*
 counts ``exit == i``; on the output, the rows and the groups marked
 as source partials.  So the action that produces the result also
 produces every counter; :func:`run_partitioned` runs that action itself
@@ -80,6 +82,8 @@ class PartitionedRun:
             finished the stateless prefix (the SP's G+R input, or its
             share of the output when there is no G+R).
         output_rows: rows of ``result``.
+        stage_counts: records entering each operator, then
+            ``output_rows`` (:meth:`Pipeline.stage_counts` of the window).
     """
 
     result: DataFrame
@@ -88,6 +92,7 @@ class PartitionedRun:
     source_partial_rows: int
     sp_input_counts: tuple[int, ...]
     output_rows: int
+    stage_counts: tuple[int, ...] = ()
 
 
 def _split_sql(stage: int, p: float, seed: int) -> str:
@@ -119,9 +124,9 @@ def single_pass(
 ) -> DataFrame:
     """Every record once through the stateless prefix, proxies observed.
 
-    Observes ``proxy<i>`` (``arrived``, ``drained``) at the input of
-    every operator ``i`` and ``sp_input`` (``stage<i>``: records with
-    exit stage ``i``) at the prefix output. ``observation`` maps a
+    Observes ``proxy<i>`` (``total``, ``arrived``, ``drained``) at the
+    input of every operator ``i`` and ``sp_input`` (``stage<i>``: records
+    with exit stage ``i``) at the prefix output. ``observation`` maps a
     metric name to what ``DataFrame.observe`` takes: an ``Observation``
     in batch, the name itself in Structured Streaming. ``exit_`` is
     :func:`exit_stage` of the load factors.
@@ -130,6 +135,7 @@ def single_pass(
     def proxy(cur: DataFrame, i: int) -> DataFrame:
         return cur.observe(
             observation(f"proxy{i}"),
+            F.count(F.lit(1)).alias("total"),
             F.count_if(exit_ >= i).alias("arrived"),
             F.count_if(exit_ == i).alias("drained"),
         )
@@ -199,13 +205,15 @@ def run_partitioned(
     proxies = [obs[f"proxy{i}"].get for i in range(pipeline.n_ops)]
     sp_input = obs["sp_input"].get
     out = obs["output"].get
+    output_rows = int(out["rows"])
     return PartitionedRun(
         result=result,
         taken_counts=tuple(int(m["arrived"] - m["drained"]) for m in proxies),
         drained_counts=tuple(int(m["drained"]) for m in proxies),
         source_partial_rows=int(out.get("source_partial", 0)),
         sp_input_counts=tuple(int(sp_input[f"stage{i}"]) for i in range(pipeline.n_ops)),
-        output_rows=int(out["rows"]),
+        output_rows=output_rows,
+        stage_counts=tuple(int(m["total"]) for m in proxies) + (output_rows,),
     )
 
 

@@ -19,6 +19,7 @@ import numpy as np
 from pyspark.sql import SparkSession
 
 from repro.core import costmodel as cm
+from repro.core.operators import WINDOW_S
 from repro.core.partition_exec import drained_bytes, run_partitioned
 from repro.experiments.specs import s2s_spec
 from repro.strategies.best_op import BestOp
@@ -37,11 +38,10 @@ def run(spark: SparkSession) -> list[dict]:
         probes_per_pair_per_window=20,  # 10x-rate probe density
     )
     bundle.input_df.cache().count()
-    window_s = 10.0
     input_mbps = spec.offered_mbps
     # Scale measured per-window bytes to the modelled input rate.
     trace_bytes = bundle.input_df.count() * spec.record_bytes
-    scale = (input_mbps * 1e6 / 8.0 * window_s * 3) / trace_bytes
+    scale = (input_mbps * 1e6 / 8.0 * WINDOW_S * 3) / trace_bytes
 
     plans = {
         "operator-level (Best-OP@80%)": (BestOp().plan(spec, BUDGET), True),
@@ -55,7 +55,7 @@ def run(spark: SparkSession) -> list[dict]:
         measured_bytes = drained_bytes(
             run_, bundle.pipeline, drain_overhead=1.0 if bulk else cm.DRAIN_OVERHEAD
         )
-        measured_mbps = measured_bytes * scale * 8.0 / 1e6 / (window_s * 3)
+        measured_mbps = measured_bytes * scale * 8.0 / 1e6 / (WINDOW_S * 3)
         rows.append(
             {
                 "plan": name,

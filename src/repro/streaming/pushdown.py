@@ -20,9 +20,11 @@ Two entry points:
   the DuckDB oracle).
 * :func:`run_adaptive_stream` — an epoch-driven loop (one micro-batch =
   one epoch, via ``maxFilesPerTrigger=1`` over per-window files) where a
-  ``foreachBatch`` hook executes the partitioned plan and lets a live
-  :class:`~repro.core.runtime.JarvisRuntime` refine the load factors
-  between epochs.
+  ``foreachBatch`` hook hands the batch to the Spark epoch executor and
+  lets a live :class:`~repro.core.runtime.JarvisRuntime` refine the load
+  factors between epochs. Each epoch, Profile included, is one
+  ``run_partitioned`` call on the batch: relay ratios are read off its
+  proxy counters, so no epoch runs a Spark job of its own besides it.
 """
 from __future__ import annotations
 
@@ -31,13 +33,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
-from repro.core import costmodel as cm
-from repro.core.executor import ProfileEstimates, measured_observation
-from repro.core.partition_exec import exit_stage, run_partitioned, single_pass
+from repro.core.executor import SparkEpochExecutor
+from repro.core.operators import window_id
+from repro.core.partition_exec import PartitionedRun, exit_stage, run_partitioned, single_pass
 from repro.core.pipeline import Pipeline
-from repro.core.proxy import EpochObservation, QueryState, classify_query
 from repro.core.runtime import JarvisRuntime
 
 
@@ -77,42 +77,28 @@ class AdaptiveEpoch:
     result_rows: int
 
 
-class _BatchExecutor:
-    """EpochExecutor facade over foreachBatch micro-batches.
+class _BatchExecutor(SparkEpochExecutor):
+    """:class:`SparkEpochExecutor` fed foreachBatch micro-batches.
 
     ``run_epoch``-driven executors pull epochs; streaming pushes them.
-    This adapter stores the current batch so the runtime's pull sees it.
+    ``on_batch`` stores the current batch so the runtime's pull runs it.
+    The stream supplies the windows, so the trace setup of the parent's
+    constructor does not apply.
     """
 
     def __init__(self, pipeline: Pipeline, budget_core: float) -> None:
         self.pipeline = pipeline
         self.budget_core = budget_core
         self.batch_df: DataFrame | None = None
-        self.last_run = None
 
-    def execute(self, p: np.ndarray) -> EpochObservation:
-        assert self.batch_df is not None
-        run = run_partitioned(self.batch_df, self.pipeline, p)
-        self.last_run = run
-        return measured_observation(
-            run, self.pipeline, self.budget_core * cm.EPOCH_SECONDS, cm.DRAIN_OVERHEAD
-        )
-
-    def profile(self):
-        assert self.batch_df is not None
-        relay = self.pipeline.measure_relay_ratios(self.batch_df)
-        est = ProfileEstimates(
-            cost_us=self.pipeline.cost_us.copy(),
-            relay=relay,
-            budget_core=self.budget_core,
-        )
-        obs = self.execute(np.zeros(self.pipeline.n_ops))
-        return est, obs
+    def run(self, p: np.ndarray) -> PartitionedRun:
+        """The current micro-batch through the data path under ``p``."""
+        return run_partitioned(self.batch_df, self.pipeline, p)
 
 
-def write_epoch_files(df: DataFrame, out_dir: str, *, window_s: int = 10) -> int:
+def write_epoch_files(df: DataFrame, out_dir: str) -> int:
     """Materialize a trace as one parquet file-set per window (= epoch)."""
-    wcol = F.floor(F.col("ts_s") / window_s).cast("long")
+    wcol = window_id()
     windows = [r[0] for r in df.select(wcol.alias("w")).distinct().orderBy("w").collect()]
     for w in windows:
         (
@@ -157,9 +143,9 @@ def run_adaptive_stream(
     history: list[AdaptiveEpoch] = []
 
     def on_batch(batch_df: DataFrame, batch_id: int) -> None:
-        if batch_df.isEmpty():
-            return
-        executor.batch_df = batch_df.cache()
+        # Every epoch, Profile included, reads its batch once: no cache.
+        # An empty batch is an epoch with zero counters.
+        executor.batch_df = batch_df
         rep = runtime.run_epoch()
         history.append(
             AdaptiveEpoch(
@@ -171,7 +157,6 @@ def run_adaptive_stream(
                 result_rows=int(rep.obs.output_rows),
             )
         )
-        executor.batch_df.unpersist()
 
     q = (
         stream.writeStream.foreachBatch(on_batch)

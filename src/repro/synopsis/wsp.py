@@ -24,6 +24,8 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from repro.core.operators import window_id
+
 #: Alert threshold: "probe latencies exceeding a threshold such as 5 ms".
 ALERT_THRESHOLD_US = 5_000.0
 
@@ -40,7 +42,7 @@ def wsp_sample(df: DataFrame, rate: float, *, seed: int = 0) -> DataFrame:
 
 def _pair_max(df: DataFrame, out: str) -> DataFrame:
     return (
-        df.withColumn("window_id", F.floor(F.col("ts_s") / 10).cast("long"))
+        df.withColumn("window_id", window_id())
         .filter("err_code = 0")
         .groupBy("window_id", "src_ip", "dst_ip")
         .agg(F.max("rtt_us").alias(out))

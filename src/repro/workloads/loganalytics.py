@@ -15,6 +15,8 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
+from repro.core.operators import WINDOW_S
+
 #: Pass rate of the status filter.
 COMPLETE_RATE = 0.9
 #: Number of tenants in the cluster.
@@ -51,13 +53,12 @@ def log_trace_pandas(
     seed: int = 11,
 ) -> pd.DataFrame:
     g = np.random.default_rng(seed)
-    window_s = 10
     n = n_sources * lines_per_source_window * n_windows
     source = np.tile(
         np.repeat(np.arange(n_sources), lines_per_source_window), n_windows
     )
     window = np.repeat(np.arange(n_windows), n_sources * lines_per_source_window)
-    ts = window * window_s + g.integers(0, window_s, n)
+    ts = window * WINDOW_S + g.integers(0, WINDOW_S, n)
     tenant = g.integers(0, N_TENANTS, n)
     job = g.integers(0, 100_000, n)
     latency = np.round(np.exp(g.normal(np.log(300.0), 0.9, n)), 1)  # ms

@@ -20,13 +20,14 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
+from repro.core.operators import WINDOW_S
+
 #: Server-IP domain (paper's T2T table maps 500 servers).
 IP_DOMAIN = 500
 #: Servers per top-of-rack switch in the synthetic topology.
 SERVERS_PER_TOR = 20
 #: Probing interval (s) -> probes per pair per 10-s window.
 PROBE_INTERVAL_S = 5
-WINDOW_S = 10
 
 #: Fraction of records with a non-zero error code (filter-out rate).
 ERR_RATE = 0.14

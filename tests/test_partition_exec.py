@@ -279,6 +279,29 @@ class TestCountersMatchReference:
         run = run_partitioned(s2s.input_df, pl, p)
         assert counters(run) == reference_counters(s2s.input_df, pl, p)
 
+    @pytest.mark.parametrize("query", ["s2s", "t2t", "logq"])
+    def test_run_carries_stage_counts(self, request, query):
+        """The run counts every stage boundary as ``Pipeline.stage_counts`` does."""
+        b = request.getfixturevalue(query)
+        M = b.pipeline.n_ops
+        want = tuple(b.pipeline.stage_counts(b.input_df))
+        for p in (np.zeros(M), np.ones(M), np.array(GRID_P[M])):
+            run = run_partitioned(b.input_df, b.pipeline, p, seed=5)
+            assert run.stage_counts == want, p
+
+    def test_run_carries_stage_counts_of_odd_windows(self, s2s, t2t):
+        """A pipeline without G+R, an empty window and windows the filter empties."""
+        pl = Pipeline(name="wf", ops=s2s.pipeline.ops[:2])
+        cases = [
+            (pl, s2s.input_df),
+            (s2s.pipeline, s2s.input_df.filter("record_id < 0")),
+            *[(b.pipeline, b.input_df.withColumn("err_code", F.lit(1))) for b in (s2s, t2t)],
+        ]
+        for pipeline, df in cases:
+            p = np.resize(GRID_P[3], pipeline.n_ops)
+            run = run_partitioned(df, pipeline, p)
+            assert run.stage_counts == tuple(pipeline.stage_counts(df)), pipeline.name
+
     def test_stage_counts(self, t2t):
         pl, df = t2t.pipeline, t2t.input_df
         want = [df.count()]
@@ -317,6 +340,18 @@ class TestJobsPerCall:
         for p in (np.zeros(M), np.ones(M), np.array(GRID_P[M])):
             jobs = jobs_per_call(spark, lambda: run_partitioned(b.input_df, b.pipeline, p))
             assert jobs <= bound, (p, jobs)
+
+    @pytest.mark.parametrize("query", ["s2s", "t2t", "logq"])
+    def test_profile_runs_no_more_jobs_than_execute(self, request, spark, query):
+        """A Profile micro-batch reads its relay ratios off its own run."""
+        from repro.streaming.pushdown import _BatchExecutor
+
+        b = request.getfixturevalue(query)
+        ex = _BatchExecutor(b.pipeline, budget_core=0.5)
+        ex.batch_df = b.input_df
+        execute = jobs_per_call(spark, lambda: ex.execute(np.array(GRID_P[b.pipeline.n_ops])))
+        profile = jobs_per_call(spark, ex.profile)
+        assert profile <= execute, (profile, execute)
 
     def test_stage_counts_jobs_do_not_grow_with_depth(self, spark, s2s):
         w, f, gr = s2s.pipeline.ops

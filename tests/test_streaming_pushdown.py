@@ -3,6 +3,8 @@
 Slowest tests in the suite (streaming queries + checkpoints); sizes are
 kept minimal.
 """
+import shutil
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,25 @@ class TestAdaptiveLoop:
         assert sum(history[-1].p) > 0.0
         # Drains shrink as load factors rise.
         assert history[-1].drained_records <= history[0].drained_records
+
+    def test_empty_microbatch_is_an_epoch(self, spark, bundle, epoch_dir, tmp_path):
+        """A zero-row epoch file is one more epoch with zero counters; the
+        epochs before it are those of the stream without it."""
+        base = run_adaptive_stream(
+            spark, epoch_dir, bundle.pipeline, budget_core=5.0,
+            checkpoint_dir=str(tmp_path / "ckpt_base"),
+        )
+        d = tmp_path / "epochs"
+        shutil.copytree(epoch_dir, d)
+        bundle.input_df.limit(0).coalesce(1).write.parquet(str(d / "w=99"))
+        history = run_adaptive_stream(
+            spark, str(d), bundle.pipeline, budget_core=5.0,
+            checkpoint_dir=str(tmp_path / "ckpt_empty"),
+        )
+        assert len(history) == 4  # one epoch per window file
+        assert history[:3] == base
+        empty = history[3]
+        assert (empty.drained_records, empty.drained_bytes, empty.result_rows) == (0, 0.0, 0)
 
 
 class TestBatchExecutor:
