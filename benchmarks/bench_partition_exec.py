@@ -2,8 +2,8 @@
 
 ~200K probe records per run (the repo's SF~=0.1 equivalent for this
 schema); exercises the full proxy-split / drain path and the one-groupBy
-Group+Reduce, including shuffles (broadcast joins disabled by the
-session fixture).
+Group+Reduce, including shuffles (the session fixture disables automatic
+broadcast joins; T2T's static-table join is broadcast by its query).
 """
 import numpy as np
 import pytest

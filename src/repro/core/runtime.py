@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core import costmodel as cm
-from repro.core.executor import ProfileEstimates
 from repro.core.proxy import EpochObservation, QueryState, classify_query
 from repro.core.stepwise import FineTuner, lp_initial_plan
 
@@ -90,7 +89,6 @@ class JarvisRuntime:
         self.epoch = 0
         self._nonstable_streak = 0
         self._tuner: FineTuner | None = None
-        self._estimates: ProfileEstimates | None = None
         #: lp_only: adapt epochs spent on the current LP plan before
         #: falling back to Probe (so a later resource change re-profiles;
         #: under unchanged-but-biased estimates it loops forever — the
@@ -115,9 +113,12 @@ class JarvisRuntime:
         self.epoch += 1
         if self.phase is Phase.PROFILE:
             est, obs = self.executor.profile()
-            self._estimates = est
             state = QueryState.CONGESTED  # profiling epoch is non-stable by definition
             n_rec = self._records_per_epoch(obs)
+            if n_rec <= 0:
+                # An empty window sizes no plan: keep p and probe again.
+                self.phase = Phase.PROBE
+                return EpochReport(self.epoch, Phase.PROFILE, state, self.p.copy(), obs)
             if self.mode in ("jarvis", "lp_only"):
                 self.p = lp_initial_plan(est, n_rec)
                 self._lp_retry_left = 3

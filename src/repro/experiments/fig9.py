@@ -13,7 +13,7 @@ from pyspark.sql import SparkSession
 from repro.core import costmodel as cm
 from repro.experiments.specs import s2s_spec
 from repro.strategies.jarvis import Jarvis
-from repro.synopsis.wsp import evaluate_rate
+from repro.synopsis.wsp import evaluate_rates
 from repro.workloads.pingmesh import pingmesh_trace
 
 RATES = (0.2, 0.4, 0.6, 0.8)
@@ -28,19 +28,16 @@ def run(spark: SparkSession) -> dict:
         anomaly_pair_frac=0.3,
         seed=17,
     )
-    trace.cache().count()
-    wsp_rows = []
-    for rate in RATES:
-        rep = evaluate_rate(trace, rate)
-        wsp_rows.append(
-            {
-                "sampling_rate": rate,
-                "bandwidth_frac": rep.bandwidth_frac,
-                "err_within_1ms_frac": round(rep.frac_err_within_1ms, 3),
-                "err_above_5ms_frac": round(rep.frac_err_above_5ms, 3),
-                "alert_miss_frac": round(rep.alert_miss_frac, 3),
-            }
-        )
+    wsp_rows = [
+        {
+            "sampling_rate": rep.rate,
+            "bandwidth_frac": rep.bandwidth_frac,
+            "err_within_1ms_frac": round(rep.frac_err_within_1ms, 3),
+            "err_above_5ms_frac": round(rep.frac_err_above_5ms, 3),
+            "alert_miss_frac": round(rep.alert_miss_frac, 3),
+        }
+        for rep in evaluate_rates(trace, RATES)
+    ]
     # Jarvis bandwidth fraction across budgets (error is always 0).
     spec = s2s_spec(spark)
     jarvis_rows = []

@@ -18,10 +18,11 @@ Bandwidth is simply the sampling rate (the sample ships verbatim).
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import pandas as pd
-from pyspark.sql import DataFrame
+from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.operators import window_id
@@ -32,21 +33,44 @@ ALERT_THRESHOLD_US = 5_000.0
 _BUCKETS = 1_000_000
 
 
-def wsp_sample(df: DataFrame, rate: float, *, seed: int = 0) -> DataFrame:
-    """Deterministic Bernoulli(rate) sample of a probe stream."""
+def _sampled(rate: float, seed: int) -> Column:
+    """WSP's per-record predicate: true for the records a Bernoulli(rate) sample keeps."""
     if not 0.0 <= rate <= 1.0:
         raise ValueError("sampling rate must lie in [0, 1]")
     h = F.pmod(F.xxhash64(F.col("record_id"), F.lit(seed)), F.lit(_BUCKETS))
-    return df.filter(h < F.lit(int(round(rate * _BUCKETS))))
+    return h < F.lit(int(round(rate * _BUCKETS)))
 
 
-def _pair_max(df: DataFrame, out: str) -> DataFrame:
+def wsp_sample(df: DataFrame, rate: float, *, seed: int = 0) -> DataFrame:
+    """Deterministic Bernoulli(rate) sample of a probe stream."""
+    return df.filter(_sampled(rate, seed))
+
+
+def _pair_maxima(df: DataFrame, rates: Sequence[float], seed: int) -> pd.DataFrame:
+    """Per pair-window: the true max RTT and, per rate, the sampled max.
+
+    One aggregation serves every rate: ``est_<i>`` is the max over the
+    records rate ``i``'s sample keeps, 0 for a pair it misses completely
+    (a consumer that sees no data for the pair).
+    """
+    est = [
+        F.coalesce(F.max(F.when(_sampled(r, seed), F.col("rtt_us"))), F.lit(0.0))
+        .alias(f"est_{i}")
+        for i, r in enumerate(rates)
+    ]
     return (
         df.withColumn("window_id", window_id())
         .filter("err_code = 0")
         .groupBy("window_id", "src_ip", "dst_ip")
-        .agg(F.max("rtt_us").alias(out))
+        .agg(F.max("rtt_us").alias("true_max"), *est)
+        .toPandas()
     )
+
+
+def _errors(maxima: pd.DataFrame, i: int) -> pd.DataFrame:
+    pdf = maxima[["window_id", "src_ip", "dst_ip", "true_max"]].assign(est_max=maxima[f"est_{i}"])
+    pdf["error_us"] = (pdf["true_max"] - pdf["est_max"]).abs()
+    return pdf
 
 
 @dataclass(frozen=True)
@@ -72,18 +96,35 @@ def estimation_errors(df: DataFrame, rate: float, *, seed: int = 0) -> pd.DataFr
     (``est_max`` is 0 for completely missed pairs, per a consumer that
     sees no data for the pair).
     """
-    truth = _pair_max(df, "true_max")
-    est = _pair_max(wsp_sample(df, rate, seed=seed), "est_max")
-    joined = truth.join(est, ["window_id", "src_ip", "dst_ip"], "left").select(
-        "window_id",
-        "src_ip",
-        "dst_ip",
-        "true_max",
-        F.coalesce("est_max", F.lit(0.0)).alias("est_max"),
-    )
-    pdf = joined.toPandas()
-    pdf["error_us"] = (pdf["true_max"] - pdf["est_max"]).abs()
-    return pdf
+    return _errors(_pair_maxima(df, (rate,), seed), 0)
+
+
+def evaluate_rates(
+    df: DataFrame,
+    rates: Sequence[float],
+    *,
+    seed: int = 0,
+    threshold_us: float = ALERT_THRESHOLD_US,
+) -> list[WSPReport]:
+    """Full Fig. 9 metrics for each sampling rate, from one Spark aggregation."""
+    maxima = _pair_maxima(df, rates, seed)
+    reports = []
+    for i, rate in enumerate(rates):
+        pdf = _errors(maxima, i)
+        true_alerts = pdf["true_max"] > threshold_us
+        detected = pdf["est_max"] > threshold_us
+        missed = true_alerts & ~detected
+        reports.append(
+            WSPReport(
+                rate=rate,
+                bandwidth_frac=rate,
+                frac_err_within_1ms=float((pdf["error_us"] <= 1_000.0).mean()),
+                frac_err_above_5ms=float((pdf["error_us"] > 5_000.0).mean()),
+                n_true_alerts=int(true_alerts.sum()),
+                n_missed_alerts=int(missed.sum()),
+            )
+        )
+    return reports
 
 
 def evaluate_rate(
@@ -94,15 +135,4 @@ def evaluate_rate(
     threshold_us: float = ALERT_THRESHOLD_US,
 ) -> WSPReport:
     """Full Fig. 9 metrics for one sampling rate."""
-    pdf = estimation_errors(df, rate, seed=seed)
-    true_alerts = pdf["true_max"] > threshold_us
-    detected = pdf["est_max"] > threshold_us
-    missed = true_alerts & ~detected
-    return WSPReport(
-        rate=rate,
-        bandwidth_frac=rate,
-        frac_err_within_1ms=float((pdf["error_us"] <= 1_000.0).mean()),
-        frac_err_above_5ms=float((pdf["error_us"] > 5_000.0).mean()),
-        n_true_alerts=int(true_alerts.sum()),
-        n_missed_alerts=int(missed.sum()),
-    )
+    return evaluate_rates(df, (rate,), seed=seed, threshold_us=threshold_us)[0]

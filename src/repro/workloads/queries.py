@@ -119,12 +119,14 @@ def t2t_pipeline(tor_table: DataFrame, *, table_size: int = 500) -> Pipeline:
     c = cm.t2t_costs(table_size)
 
     def join_tor(df: DataFrame) -> DataFrame:
-        src_m = tor_table.select(
+        # §IV-B: every source holds a copy of the static table, i.e. a
+        # broadcast join (the session turns automatic broadcasts off).
+        src_m = F.broadcast(tor_table.select(
             F.col("ip").alias("src_ip"), F.col("tor_id").alias("src_tor")
-        )
-        dst_m = tor_table.select(
+        ))
+        dst_m = F.broadcast(tor_table.select(
             F.col("ip").alias("dst_ip"), F.col("tor_id").alias("dst_tor")
-        )
+        ))
         return df.join(src_m, "src_ip").join(dst_m, "dst_ip")
 
     return Pipeline(

@@ -1,4 +1,7 @@
 """Experiment-layer tests: report rendering and table structure."""
+import gc
+
+import numpy as np
 import pytest
 
 from repro.experiments import fig8, opcount
@@ -83,3 +86,47 @@ class TestSpecMeasurement:
         assert half.output_bytes_per_record == pytest.approx(
             2 * spec.output_bytes_per_record
         )
+
+
+class TestSpecPerSession:
+    def test_second_call_runs_no_job(self, spark):
+        from repro.experiments.specs import s2s_spec
+        from tests.test_partition_exec import jobs_per_call
+
+        first = s2s_spec(spark)
+        again = []
+        assert jobs_per_call(spark, lambda: again.append(s2s_spec(spark))) == 0
+        for name, value in vars(first).items():
+            assert np.array_equal(getattr(again[0], name), value), name
+
+    def test_shared_spec_is_read_only(self, spark):
+        from repro.experiments.specs import s2s_spec
+
+        with pytest.raises(ValueError):
+            s2s_spec(spark).relay[0] = 0.5
+
+    def test_measured_once_per_session_and_arguments(self, monkeypatch):
+        """A new session measures again, and a dropped one leaves no entry."""
+        from repro.cluster.spec import spec_from_costs
+        from repro.experiments import specs
+
+        calls = []
+
+        def fake_measure(bundle, costs, offered_mbps):
+            calls.append(offered_mbps)
+            return spec_from_costs(costs, np.ones(3), 1.0, offered_mbps)
+
+        class Session:  # stands in for a SparkSession
+            pass
+
+        monkeypatch.setattr(specs, "s2s_query", lambda spark, **kw: None)
+        monkeypatch.setattr(specs, "measure_spec", fake_measure)
+        a, b = Session(), Session()
+        assert specs.s2s_spec(a) is specs.s2s_spec(a)
+        specs.s2s_spec(a, scale=5.0)
+        specs.s2s_spec(b)
+        assert len(calls) == 3
+        n = len(specs._MEASURED)
+        del a, b
+        gc.collect()
+        assert len(specs._MEASURED) == n - 2

@@ -90,6 +90,23 @@ class TestBasics:
         rt.run_until_stable(60)
         assert rt.p == pytest.approx([1.0, 1.0, 1.0])
 
+    @pytest.mark.parametrize("mode", ["jarvis", "lp_only"])
+    def test_empty_profile_epoch_keeps_p(self, mode):
+        """A Profile epoch that sees no records plans nothing: with no
+        budget, ``p`` stays 0 and the runtime probes again."""
+        ex = s2s_exec(0.5)
+        rt = JarvisRuntime(ex, 3, mode=mode)
+        for _ in range(rt.detect_epochs):  # idle at p = 0: detect, then profile
+            rt.run_epoch()
+        assert rt.phase is Phase.PROFILE
+        ex.budget_core = 0.0
+        ex.records_per_epoch = 0.0
+        rep = rt.run_epoch()
+        assert rep.phase is Phase.PROFILE
+        assert rep.p == pytest.approx([0.0, 0.0, 0.0])
+        assert rt.p == pytest.approx([0.0, 0.0, 0.0])
+        assert rt.phase is Phase.PROBE
+
 
 class TestFig8aS2S:
     """S2SProbe convergence (paper: Jarvis 1 then 2; w/o LP-init 6 then 4;

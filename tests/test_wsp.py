@@ -1,13 +1,18 @@
 """WSP data-synopsis tests (Fig. 9 mechanics)."""
 import pytest
+from pyspark.sql import functions as F
 
+from repro.core.operators import window_id
 from repro.synopsis.wsp import (
     ALERT_THRESHOLD_US,
+    WSPReport,
     estimation_errors,
     evaluate_rate,
+    evaluate_rates,
     wsp_sample,
 )
 from repro.workloads.pingmesh import pingmesh_trace
+from tests.test_partition_exec import jobs_per_call
 
 
 @pytest.fixture(scope="module")
@@ -94,3 +99,54 @@ class TestFig9Claims:
     def test_alert_threshold_configurable(self, trace):
         rep = evaluate_rate(trace, 0.5, threshold_us=ALERT_THRESHOLD_US * 100)
         assert rep.n_true_alerts == 0
+
+
+def _reference_pair_max(df, out):
+    return (
+        df.withColumn("window_id", window_id())
+        .filter("err_code = 0")
+        .groupBy("window_id", "src_ip", "dst_ip")
+        .agg(F.max("rtt_us").alias(out))
+    )
+
+
+def reference_report(df, rate, threshold_us=ALERT_THRESHOLD_US):
+    """Oracle: the true maxima and the sample's maxima as two aggregations,
+    then a left join (a pair the sample misses is estimated as 0)."""
+    truth = _reference_pair_max(df, "true_max")
+    est = _reference_pair_max(wsp_sample(df, rate), "est_max")
+    pdf = truth.join(est, ["window_id", "src_ip", "dst_ip"], "left").select(
+        "true_max", F.coalesce("est_max", F.lit(0.0)).alias("est_max")
+    ).toPandas()
+    error = (pdf["true_max"] - pdf["est_max"]).abs()
+    true_alerts = pdf["true_max"] > threshold_us
+    missed = true_alerts & ~(pdf["est_max"] > threshold_us)
+    return WSPReport(
+        rate=rate,
+        bandwidth_frac=rate,
+        frac_err_within_1ms=float((error <= 1_000.0).mean()),
+        frac_err_above_5ms=float((error > 5_000.0).mean()),
+        n_true_alerts=int(true_alerts.sum()),
+        n_missed_alerts=int(missed.sum()),
+    )
+
+
+class TestOneAggregation:
+    RATES = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
+
+    def test_matches_per_rate_join_reference(self, trace):
+        got = evaluate_rates(trace, self.RATES)
+        assert got == [reference_report(trace, r) for r in self.RATES]
+
+    def test_single_rate_paths_agree(self, trace):
+        [rep] = evaluate_rates(trace, (0.4,))
+        assert evaluate_rate(trace, 0.4) == rep
+        pdf = estimation_errors(trace, 0.4)
+        assert float((pdf["error_us"] <= 1_000.0).mean()) == rep.frac_err_within_1ms
+
+    def test_invalid_rate(self, trace):
+        with pytest.raises(ValueError):
+            evaluate_rates(trace, (0.2, 1.5))
+
+    def test_four_rates_take_at_most_two_jobs(self, spark, trace):
+        assert jobs_per_call(spark, lambda: evaluate_rates(trace, (0.2, 0.4, 0.6, 0.8))) <= 2
