@@ -17,19 +17,25 @@ from repro.cluster.spec import WorkloadSpec
 from repro.strategies.base import Outcome, Strategy
 from repro.strategies.jarvis import Jarvis
 
+#: Per-query Jarvis runtime overhead on a source node (cores); the paper
+#: measures "less than 1% of a single core" (Fig. 11).
+RUNTIME_OVERHEAD_CORE = 0.015
+#: Largest source count :func:`max_supported_sources` tries.
+MAX_SOURCES = 400
+#: Share of the offered rate a source must sustain to count as supported.
+SUSTAINED_SHARE = 0.99
+
 
 def budget_sweep(
     spec: WorkloadSpec,
     strategies: list[Strategy],
     budgets: list[float],
-    *,
-    cap_mbps: float = cm.PER_QUERY_CAP_MBPS,
 ) -> list[dict]:
     """Throughput per (CPU budget, strategy) on a single data source."""
     rows = []
     for b in budgets:
         for s in strategies:
-            out = s.evaluate(spec, b, cap_mbps)
+            out = s.evaluate(spec, b, cm.PER_QUERY_CAP_MBPS)
             rows.append(
                 {
                     "query": spec.name,
@@ -60,8 +66,6 @@ def multi_source_sweep(
     n_sources: list[int],
     *,
     budget_core: float,
-    agg_link_mbps: float = cm.AGG_LINK_MBPS,
-    latency: cm.LatencyModel = cm.DEFAULT_LATENCY,
 ) -> list[MultiSourceRow]:
     """N identical sources sharing one SP link (Fig. 10).
 
@@ -73,7 +77,7 @@ def multi_source_sweep(
     rows = []
     for s in strategies:
         for n in n_sources:
-            cap = agg_link_mbps / n
+            cap = cm.AGG_LINK_MBPS / n
             out = s.evaluate(spec, budget_core, cap)
             # Offered traffic before network clipping determines rho.
             planned = (
@@ -81,7 +85,7 @@ def multi_source_sweep(
                 if s.name in ("Best-OP", "Filter-Src")
                 else out.traffic_mbps
             )
-            rho = planned * n / agg_link_mbps
+            rho = planned * n / cm.AGG_LINK_MBPS
             rows.append(
                 MultiSourceRow(
                     strategy=s.name,
@@ -89,8 +93,8 @@ def multi_source_sweep(
                     per_source_mbps=round(out.throughput_mbps, 2),
                     aggregate_mbps=round(out.throughput_mbps * n, 1),
                     rho=round(rho, 3),
-                    median_latency_s=round(latency.median_s(rho), 2),
-                    max_latency_s=round(latency.max_s(rho), 2),
+                    median_latency_s=round(cm.DEFAULT_LATENCY.median_s(rho), 2),
+                    max_latency_s=round(cm.DEFAULT_LATENCY.max_s(rho), 2),
                 )
             )
     return rows
@@ -101,15 +105,12 @@ def max_supported_sources(
     strategy: Strategy,
     *,
     budget_core: float,
-    agg_link_mbps: float = cm.AGG_LINK_MBPS,
-    n_max: int = 400,
-    tol: float = 0.99,
 ) -> int:
     """Largest N at which every source still sustains the offered rate."""
     lo = 0
-    for n in range(1, n_max + 1):
-        out = strategy.evaluate(spec, budget_core, agg_link_mbps / n)
-        if out.throughput_mbps >= tol * spec.offered_mbps:
+    for n in range(1, MAX_SOURCES + 1):
+        out = strategy.evaluate(spec, budget_core, cm.AGG_LINK_MBPS / n)
+        if out.throughput_mbps >= SUSTAINED_SHARE * spec.offered_mbps:
             lo = n
         else:
             break
@@ -122,8 +123,6 @@ def multi_query_sweep(
     *,
     cores: float,
     per_query_budget_core: float,
-    cap_mbps: float = cm.PER_QUERY_CAP_MBPS,
-    runtime_overhead_core: float = 0.015,
 ) -> list[dict]:
     """Q query instances with pinned load factors on one node (Fig. 11).
 
@@ -131,11 +130,11 @@ def multi_query_sweep(
     experiment) to use ``per_query_budget_core``; the node's cores are
     shared fairly.  Per-query Jarvis runtime overhead — the paper
     measures "less than 1% of a single core" — is modelled by
-    ``runtime_overhead_core``.
+    :data:`RUNTIME_OVERHEAD_CORE`.
     """
     jar = Jarvis()
-    solo = jar.evaluate(spec, per_query_budget_core, cap_mbps)
-    demand = spec.demand_core(solo.throughput_mbps, solo.p) + runtime_overhead_core
+    solo = jar.evaluate(spec, per_query_budget_core, cm.PER_QUERY_CAP_MBPS)
+    demand = spec.demand_core(solo.throughput_mbps, solo.p) + RUNTIME_OVERHEAD_CORE
     rows = []
     for q in n_queries:
         share = cores / q

@@ -13,7 +13,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.core import costmodel as cm
-from repro.core.executor import flow_counts
+from repro.core.executor import planned_flow
+from repro.core.partition_exec import wire_bytes
 from repro.core.pipeline import relay_ratios
 
 
@@ -45,9 +46,18 @@ class WorkloadSpec:
         return x_mbps * 1e6 / 8.0 / self.record_bytes
 
     def unit_demand_us(self, p: np.ndarray) -> float:
-        """Compute cost per injected record (µs) under load factors p."""
-        _, fwd, _ = flow_counts(1.0, np.asarray(p, dtype=float), self.relay)
-        return float(np.sum(fwd * self.cost_us))
+        """Compute cost per injected record (µs) under load factors p.
+
+        Summed left to right from 0.0, as in
+        :func:`~repro.core.executor.epoch_observation`.
+        """
+        _, fwd, _ = planned_flow(
+            1.0, np.asarray(p, dtype=float).tolist(), self.relay.tolist()
+        )
+        demand = 0.0
+        for f, c in zip(fwd, self.cost_us.tolist()):
+            demand += f * c
+        return demand
 
     def full_demand_core(self, x_mbps: float) -> float:
         """Cores needed to run the whole query locally at rate x."""
@@ -56,28 +66,23 @@ class WorkloadSpec:
     def demand_core(self, x_mbps: float, p: np.ndarray) -> float:
         return self.unit_demand_us(p) * 1e-6 * self.records_per_sec(x_mbps)
 
-    def traffic_mbps(
-        self,
-        x_mbps: float,
-        p: np.ndarray,
-        *,
-        drain_overhead: float = cm.DRAIN_OVERHEAD,
-        bulk_boundary: bool = False,
-    ) -> float:
+    def traffic_mbps(self, x_mbps: float, p: np.ndarray, *, bulk_boundary: bool = False) -> float:
         """Source->SP network rate under load factors ``p`` at rate ``x``.
 
-        Drains at stage 0 are bulk forwards (no framing overhead); deeper
-        drains pay ``drain_overhead`` — unless ``bulk_boundary`` is set,
-        which models *operator-level* partitioning (the entire boundary
-        stream relays wholesale, e.g. Filter-Src / Best-OP / Fig. 3's
-        coarse plan). Final aggregates ship whenever the terminal
-        operator processes anything locally.
+        Drains are priced by :func:`~repro.core.partition_exec.wire_bytes`:
+        stage 0 is a bulk forward, deeper drains pay
+        ``cm.DRAIN_OVERHEAD`` — unless ``bulk_boundary`` is set, which
+        models *operator-level* partitioning (the entire boundary stream
+        relays wholesale, e.g. Filter-Src / Best-OP / Fig. 3's coarse
+        plan). Final aggregates ship whenever the terminal operator
+        processes anything locally.
         """
-        p = np.asarray(p, dtype=float)
+        p = np.asarray(p, dtype=float).tolist()
         rps = self.records_per_sec(x_mbps)
-        _, _, drained = flow_counts(rps, p, self.relay)
-        oh = np.where(np.arange(len(p)) == 0, 1.0, 1.0 if bulk_boundary else drain_overhead)
-        bytes_per_sec = float(np.sum(drained * self.stage_bytes * oh))
+        _, _, drained = planned_flow(rps, p, self.relay.tolist())
+        bytes_per_sec = wire_bytes(
+            drained, self.stage_bytes.tolist(), 1.0 if bulk_boundary else cm.DRAIN_OVERHEAD
+        )
         if p[-1] > 0:
             bytes_per_sec += self.output_bytes_per_record * rps
         return bytes_per_sec * 8.0 / 1e6

@@ -17,10 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core import costmodel as cm
 from repro.core.executor import SimulatedEpochExecutor
 from repro.core.proxy import QueryState, classify_query
 from repro.core.stepwise import FineTuner
+
+#: Records per epoch of every swept configuration: one S2SProbe source at
+#: the 10x rate, as in T-8.
+RECORDS_PER_EPOCH = 38081.0
 
 
 def convergence_epochs(
@@ -28,9 +31,7 @@ def convergence_epochs(
     relay: np.ndarray,
     budget_core: float,
     *,
-    records_per_epoch: float = 38081.0,
     start_p: np.ndarray | None = None,
-    grid: int = cm.P_GRID,
     max_epochs: int = 200,
 ) -> int:
     """Epochs the pure binary-search fine-tuner needs to reach stability.
@@ -46,9 +47,9 @@ def convergence_epochs(
         relay=relay,
         stage_bytes=np.full(len(cost_us), 86.0),
         budget_core=budget_core,
-        records_per_epoch=records_per_epoch,
+        records_per_epoch=RECORDS_PER_EPOCH,
     )
-    tuner = FineTuner(relay=relay, grid=grid)
+    tuner = FineTuner(relay=relay)
     p = np.zeros(len(cost_us)) if start_p is None else np.asarray(start_p, float).copy()
     for epoch in range(1, max_epochs + 1):
         obs = ex.execute(p)
@@ -76,7 +77,6 @@ def sweep_operator_counts(
     cost_levels: tuple[float, ...] = (1.0, 5.0, 20.0),
     relay_levels: tuple[float, ...] = (0.1, 0.5, 0.9),
     budget_levels: tuple[float, ...] = (0.1, 0.3, 0.6, 0.9),
-    records_per_epoch: float = 38081.0,
     max_configs: int = 4000,
 ) -> list[OpCountResult]:
     """Exhaustive sweep of configurations per operator count.
@@ -94,10 +94,7 @@ def sweep_operator_counts(
         )
         worst, total, n = 0, 0, 0
         for costs, relays, budget in itertools.islice(combos, max_configs):
-            e = convergence_epochs(
-                np.array(costs), np.array(relays), budget,
-                records_per_epoch=records_per_epoch,
-            )
+            e = convergence_epochs(np.array(costs), np.array(relays), budget)
             worst = max(worst, e)
             total += e
             n += 1

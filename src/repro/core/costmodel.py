@@ -45,6 +45,18 @@ DRAINED_THRES = 0.10  # tolerated drained fraction before signalling congested
 IDLE_THRES = 0.10  # tolerated idle fraction of the epoch before signalling idle
 P_GRID = 16  # load factors discretized to 1/16 steps for binary search
 
+# --- Truncated-sample profiling bias (SimulatedEpochExecutor.profile) --------
+PROFILE_ERROR_GAIN = 0.5
+"""Cost underestimate per unit of unprofiled sample: an operator that sees a
+fraction ``f`` of its Profile input reports
+``cost * (1 - PROFILE_ERROR_GAIN * (1 - f))`` (fixed per-record overheads
+amortize worse on small samples; the paper's LP-only runs congest on
+exactly this under-estimate, §VI-C)."""
+RELAY_ERROR_GAIN = 1.0
+"""Grouping relay-ratio overestimate per unit of unprofiled sample: a
+fraction ``f`` raises the ratio by ``RELAY_ERROR_GAIN * (1 - f)`` of its
+headroom to 1 (group count over record count rises on truncated samples)."""
+
 
 def pingmesh_records_per_sec(scale: float = 10.0) -> float:
     """Probe records/second/source at a given input scaling (10x = 26.2 Mbps)."""

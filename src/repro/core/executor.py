@@ -12,7 +12,7 @@ Two implementations of the same interface:
 
 * :class:`SparkEpochExecutor` — executes real windows through
   :func:`repro.core.partition_exec.run_partitioned`: round-robin over
-  a cached trace, or, in its streaming subclass
+  the windows of a trace, or, in its streaming subclass
   (:class:`repro.streaming.pushdown._BatchExecutor`), the current
   micro-batch. Drain counts and relay ratios are the run's own proxy
   counters, so a Profile epoch is an all-drain epoch plus arithmetic;
@@ -49,24 +49,14 @@ class ProfileEstimates:
     budget_core: float  # estimated compute budget (fraction of a core)
 
 
-def flow_counts(n_records: float, p: np.ndarray, relay: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Planned record flow through the proxy chain (no budget limits).
-
-    Returns (arrived, forwarded, drained) per operator for ``n_records``
-    injected, load factors ``p`` and relay ratios ``relay``.
-    """
-    arrived, forwarded, drained = planned_flow(
-        float(n_records),
-        np.asarray(p, dtype=float).tolist(),
-        np.asarray(relay, dtype=float).tolist(),
-    )
-    return np.array(arrived), np.array(forwarded), np.array(drained)
-
-
 def planned_flow(
     cur: float, p: list[float], relay: list[float]
 ) -> tuple[list[float], list[float], list[float]]:
-    """:func:`flow_counts` on lists of Python floats, for the per-epoch callers."""
+    """Planned record flow through the proxy chain (no budget limits).
+
+    Returns (arrived, forwarded, drained) per operator for ``cur``
+    records injected, load factors ``p`` and relay ratios ``relay``.
+    """
     arrived, forwarded, drained = [], [], []
     for p_i, r_i in zip(p, relay):
         f = cur * p_i
@@ -165,10 +155,6 @@ class SimulatedEpochExecutor:
         records_per_epoch: records injected per epoch.
         output_bytes_per_epoch: final aggregate bytes per epoch (adds to
             network, not to drains).
-        profile_error_gain: scale of the cost-underestimate when an
-            operator cannot be fully profiled in one epoch.
-        relay_error_gain: scale of the grouping relay-ratio overestimate
-            under truncated profiling samples.
         group_reduce_idx: operator indices whose relay estimate suffers
             the truncated-sample bias (grouping-like operators).
     """
@@ -181,8 +167,6 @@ class SimulatedEpochExecutor:
     output_bytes_per_epoch: float = 0.0
     epoch_s: float = cm.EPOCH_SECONDS
     drain_overhead: float = cm.DRAIN_OVERHEAD
-    profile_error_gain: float = 0.5
-    relay_error_gain: float = 1.0
     group_reduce_idx: tuple[int, ...] = ()
 
     def execute(self, p: np.ndarray) -> EpochObservation:
@@ -213,12 +197,12 @@ class SimulatedEpochExecutor:
         epoch budget evenly. An operator whose full input sample costs
         more than its share is profiled on a truncated sample:
 
-        * its cost is underestimated by ``profile_error_gain * (1 - f)``
+        * its cost is underestimated by ``cm.PROFILE_ERROR_GAIN * (1 - f)``
           (fixed per-record overheads amortize worse on small samples,
           and the paper observes exactly this under-estimate driving
           LP-only into congestion);
         * a grouping operator's relay ratio is *overestimated* by
-          ``relay_error_gain * (1 - f)`` of its headroom (group count /
+          ``cm.RELAY_ERROR_GAIN * (1 - f)`` of its headroom (group count /
           record count rises on truncated samples).
 
         Profiling consumes the epoch: the query drains everything, so
@@ -226,18 +210,18 @@ class SimulatedEpochExecutor:
         """
         M = len(self.cost_us)
         # Input seen by each operator if everything were forwarded.
-        full_arrived, _, _ = flow_counts(
-            self.records_per_epoch, np.ones(M), self.relay
+        full_arrived, _, _ = planned_flow(
+            float(self.records_per_epoch), [1.0] * M, np.asarray(self.relay, dtype=float).tolist()
         )
         share_s = self.budget_core * self.epoch_s / max(M, 1)
-        needed_s = full_arrived * self.cost_us * 1e-6
+        needed_s = np.array(full_arrived) * self.cost_us * 1e-6
         with np.errstate(divide="ignore", invalid="ignore"):
             frac = np.where(needed_s > 0, np.minimum(1.0, share_s / needed_s), 1.0)
-        cost_hat = self.cost_us * (1.0 - self.profile_error_gain * (1.0 - frac))
+        cost_hat = self.cost_us * (1.0 - cm.PROFILE_ERROR_GAIN * (1.0 - frac))
         relay_hat = self.relay.copy()
         for i in self.group_reduce_idx:
             headroom = 1.0 - self.relay[i]
-            relay_hat[i] = self.relay[i] + self.relay_error_gain * (1.0 - frac[i]) * headroom
+            relay_hat[i] = self.relay[i] + cm.RELAY_ERROR_GAIN * (1.0 - frac[i]) * headroom
         est = ProfileEstimates(
             cost_us=cost_hat, relay=relay_hat, budget_core=self.budget_core
         )
@@ -250,7 +234,8 @@ class SparkEpochExecutor:
     """Epoch execution over real data via ``run_partitioned``.
 
     Each epoch draws the next window (round-robin) from a pre-generated
-    trace and executes it under the current load factors. Relay ratios
+    trace and executes it under the current load factors; the trace is
+    not cached, so each window reads its source again. Relay ratios
     and drain counts are the run's own proxy counters; compute
     accounting uses the calibrated per-record cost model and the
     configured budget. A subclass that feeds other windows overrides
@@ -260,16 +245,14 @@ class SparkEpochExecutor:
     df: DataFrame
     pipeline: Pipeline
     budget_core: float
-    epoch_s: float = cm.EPOCH_SECONDS
-    drain_overhead: float = cm.DRAIN_OVERHEAD
     seed: int = 0
     #: The latest epoch's run, result and counters.
-    last_run: PartitionedRun | None = None
-    _windows: list[int] = field(default_factory=list)
-    _epoch_no: int = 0
+    last_run: PartitionedRun | None = field(default=None, init=False)
+    _windows: list[int] = field(default_factory=list, init=False)
+    _epoch_no: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
-        self.df = self.df.withColumn("__w", window_id()).cache()
+        self.df = self.df.withColumn("__w", window_id())
         self._windows = [
             r["__w"] for r in self.df.select("__w").distinct().orderBy("__w").collect()
         ]
@@ -285,7 +268,7 @@ class SparkEpochExecutor:
         """Run one epoch under load factors ``p``."""
         self.last_run = self.run(p)
         return measured_observation(
-            self.last_run, self.pipeline, self.budget_core * self.epoch_s, self.drain_overhead
+            self.last_run, self.pipeline, self.budget_core * cm.EPOCH_SECONDS, cm.DRAIN_OVERHEAD
         )
 
     def profile(self) -> tuple[ProfileEstimates, EpochObservation]:

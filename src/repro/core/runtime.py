@@ -69,9 +69,6 @@ class JarvisRuntime:
         mode: str = "jarvis",
         relay_hint: np.ndarray | None = None,
         detect_epochs: int = cm.DETECT_EPOCHS,
-        drained_thres: float = cm.DRAINED_THRES,
-        idle_thres: float = cm.IDLE_THRES,
-        grid: int = cm.P_GRID,
     ) -> None:
         if mode not in ("jarvis", "lp_only", "no_lp"):
             raise ValueError(f"unknown mode {mode!r}")
@@ -80,9 +77,6 @@ class JarvisRuntime:
         self.mode = mode
         self.relay_hint = relay_hint
         self.detect_epochs = detect_epochs
-        self.drained_thres = drained_thres
-        self.idle_thres = idle_thres
-        self.grid = grid
 
         self.p = np.zeros(n_ops)  # Startup: everything to the SP
         self.phase = Phase.PROBE
@@ -96,14 +90,6 @@ class JarvisRuntime:
         self._lp_retry_left = 0
 
     # -- helpers ---------------------------------------------------------------
-    def _classify(self, obs: EpochObservation) -> QueryState:
-        return classify_query(
-            obs,
-            self.p,
-            drained_thres=self.drained_thres,
-            idle_thres=self.idle_thres,
-        )
-
     def _records_per_epoch(self, obs: EpochObservation) -> float:
         return float(obs.arrived[0]) if len(obs.arrived) else 0.0
 
@@ -126,7 +112,6 @@ class JarvisRuntime:
                 relay=est.relay if self.mode != "no_lp" else (
                     self.relay_hint if self.relay_hint is not None else np.ones(self.n_ops)
                 ),
-                grid=self.grid,
                 model=est if self.mode == "jarvis" else None,
                 records_per_epoch=n_rec,
             )
@@ -134,7 +119,7 @@ class JarvisRuntime:
             return EpochReport(self.epoch, Phase.PROFILE, state, self.p.copy(), obs)
 
         obs = self.executor.execute(self.p)
-        state = self._classify(obs)
+        state = classify_query(obs, self.p)
 
         if self.phase is Phase.PROBE:
             if state is QueryState.STABLE:
@@ -149,7 +134,6 @@ class JarvisRuntime:
                             relay=self.relay_hint
                             if self.relay_hint is not None
                             else np.ones(self.n_ops),
-                            grid=self.grid,
                             model=None,
                         )
                         self.phase = Phase.ADAPT

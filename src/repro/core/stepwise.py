@@ -31,18 +31,21 @@ from repro.core.executor import ProfileEstimates, planned_flow
 from repro.core.proxy import QueryState
 from repro.lp.plan_lp import solve_plan
 
+#: Utilisation aimed at by model-predicted probes: inside the stable band
+#: (above ``1 - IDLE_THRES``, below congestion).
+TARGET_UTIL = 0.97
+
 
 def lp_initial_plan(
     est: ProfileEstimates,
     records_per_epoch: float,
     *,
-    epoch_s: float = cm.EPOCH_SECONDS,
     kappa: float = 1.0,
 ) -> np.ndarray:
     """Initial load factors from the Eq. 3 LP on profile estimates."""
     if records_per_epoch <= 0:
         return np.ones(len(est.cost_us))
-    budget_per_record = est.budget_core * epoch_s / records_per_epoch
+    budget_per_record = est.budget_core * cm.EPOCH_SECONDS / records_per_epoch
     sol = solve_plan(
         est.relay, est.cost_us * 1e-6 * kappa, budget_per_record
     )
@@ -84,23 +87,19 @@ class FineTuner:
             first probes (Jarvis mode); None = pure model-agnostic
             search (the paper's "w/o LP-init").
         records_per_epoch: epoch input size for demand prediction.
-        target_util: utilisation aimed at by predicted probes — inside
-            the stable band (above 1-IDLE_THRES, below congestion).
     """
 
     relay: np.ndarray
     grid: int = cm.P_GRID
     model: ProfileEstimates | None = None
     records_per_epoch: float = 0.0
-    epoch_s: float = cm.EPOCH_SECONDS
-    target_util: float = 0.97
     kappa: float = 1.0
 
-    _search: _Search | None = None
-    _exhausted_raise: set[int] = field(default_factory=set)
-    _exhausted_lower: set[int] = field(default_factory=set)
-    _last_state: QueryState | None = None
-    _direction_flips: int = 0
+    _search: _Search | None = field(default=None, init=False)
+    _exhausted_raise: set[int] = field(default_factory=set, init=False)
+    _exhausted_lower: set[int] = field(default_factory=set, init=False)
+    _last_state: QueryState | None = field(default=None, init=False)
+    _direction_flips: int = field(default=0, init=False)
 
     def _snap(self, v: float) -> float:
         return min(max(round(v * self.grid) / self.grid, 0.0), 1.0)
@@ -135,7 +134,7 @@ class FineTuner:
         """Solve for the op's load factor that hits the target utilisation."""
         if self.model is None or self.records_per_epoch <= 0:
             return None
-        budget_s = self.model.budget_core * self.epoch_s
+        budget_s = self.model.budget_core * cm.EPOCH_SECONDS
         p0 = np.asarray(p, dtype=float).tolist()
         p0[op] = 0.0
         p1 = p0.copy()
@@ -143,7 +142,7 @@ class FineTuner:
         d0, d1 = self._demand(p0), self._demand(p1)
         if d1 - d0 <= 1e-12:
             return None
-        x = (self.target_util * budget_s - d0) / (d1 - d0)
+        x = (TARGET_UTIL * budget_s - d0) / (d1 - d0)
         return min(max(x, 0.0), 1.0)
 
     # -- search orchestration ----------------------------------------------------

@@ -37,11 +37,7 @@ def run(spark: SparkSession) -> list[dict]:
         spark, n_sources=4, peers_per_source=60, n_windows=3,
         probes_per_pair_per_window=20,  # 10x-rate probe density
     )
-    bundle.input_df.cache().count()
     input_mbps = spec.offered_mbps
-    # Scale measured per-window bytes to the modelled input rate.
-    trace_bytes = bundle.input_df.count() * spec.record_bytes
-    scale = (input_mbps * 1e6 / 8.0 * WINDOW_S * 3) / trace_bytes
 
     plans = {
         "operator-level (Best-OP@80%)": (BestOp().plan(spec, BUDGET), True),
@@ -55,6 +51,10 @@ def run(spark: SparkSession) -> list[dict]:
         measured_bytes = drained_bytes(
             run_, bundle.pipeline, drain_overhead=1.0 if bulk else cm.DRAIN_OVERHEAD
         )
+        # Scale measured per-window bytes to the modelled input rate; every
+        # record enters proxy 0, so stage_counts[0] is the trace size.
+        trace_bytes = run_.stage_counts[0] * spec.record_bytes
+        scale = (input_mbps * 1e6 / 8.0 * WINDOW_S * 3) / trace_bytes
         measured_mbps = measured_bytes * scale * 8.0 / 1e6 / (WINDOW_S * 3)
         rows.append(
             {

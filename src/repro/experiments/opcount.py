@@ -5,13 +5,7 @@ from repro.core.convergence_sim import sweep_operator_counts
 
 
 def run() -> list[dict]:
-    res = sweep_operator_counts(
-        [2, 3, 4],
-        cost_levels=(1.0, 5.0, 20.0),
-        relay_levels=(0.1, 0.5, 0.9),
-        budget_levels=(0.1, 0.3, 0.6, 0.9),
-        max_configs=2000,
-    )
+    res = sweep_operator_counts([2, 3, 4], max_configs=2000)
     return [
         {
             "n_ops": r.n_ops,

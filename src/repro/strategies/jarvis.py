@@ -10,8 +10,8 @@ and sheds input until feasible (found here by bisection over the
 admitted rate — at lower rates the budget covers a larger fraction of
 records, so traffic falls superlinearly).
 
-An optional ``fixed_p`` reproduces the paper's Fig. 3/Fig. 11 setups
-where load factors are pinned.
+Fig. 3 prints this plan next to the pinned paper plan, and Fig. 11 pins
+each query instance to it (:func:`repro.cluster.simulator.multi_query_sweep`).
 """
 from __future__ import annotations
 
@@ -25,12 +25,8 @@ from repro.strategies.base import Outcome, Strategy
 class Jarvis(Strategy):
     name = "Jarvis"
 
-    def __init__(self, fixed_p: np.ndarray | None = None) -> None:
-        self.fixed_p = None if fixed_p is None else np.asarray(fixed_p, dtype=float)
-
     def plan(self, spec: WorkloadSpec, budget_core: float, x_mbps: float) -> np.ndarray:
-        if self.fixed_p is not None:
-            return self.fixed_p
+        """The Eq. 3 LP plan at admitted rate ``x_mbps``."""
         rps = spec.records_per_sec(x_mbps)
         if rps <= 0:
             return np.ones(len(spec.cost_us))
@@ -57,11 +53,4 @@ class Jarvis(Strategy):
                     hi = mid
             x = lo
             traffic, p = traffic_at(x)
-        if self.fixed_p is not None:
-            # Pinned plans are not budget-adaptive: cap by compute too.
-            demand = spec.demand_core(x, p)
-            if demand > budget_core and demand > 0:
-                x = x * budget_core / demand
-                traffic, _ = traffic_at(x)
-                traffic = spec.traffic_mbps(x, p)
         return self._outcome(spec, x, p, traffic, budget_core)

@@ -17,7 +17,7 @@ import numpy as np
 from repro.cluster.spec import WorkloadSpec
 from repro.strategies.base import Outcome, Strategy
 
-#: Default SP compute share per query (cores) — calibration constant,
+#: SP compute share per query (cores) — calibration constant,
 #: DESIGN.md §6.
 SP_SHARE_CORES = 4.0
 
@@ -25,12 +25,9 @@ SP_SHARE_CORES = 4.0
 class LoadBalanceDP(Strategy):
     name = "LB-DP"
 
-    def __init__(self, sp_share_cores: float = SP_SHARE_CORES) -> None:
-        self.sp_share = sp_share_cores
-
     def evaluate(self, spec: WorkloadSpec, budget_core: float, cap_mbps: float) -> Outcome:
         M = len(spec.cost_us)
-        s = budget_core / (budget_core + self.sp_share)
+        s = budget_core / (budget_core + SP_SHARE_CORES)
         # The source cannot take more than its compute sustains.
         demand_full = spec.full_demand_core(spec.offered_mbps)
         if demand_full > 0:

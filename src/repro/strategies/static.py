@@ -17,6 +17,9 @@ import numpy as np
 from repro.cluster.spec import WorkloadSpec
 from repro.strategies.base import Outcome, Strategy
 
+#: Position of the first filter: 1 in all three evaluation queries (W then F).
+FILTER_IDX = 1
+
 
 class AllSP(Strategy):
     name = "All-SP"
@@ -40,21 +43,14 @@ class AllSrc(Strategy):
 
 
 class FilterSrc(Strategy):
-    """Run operators up to and including the first filter on the source.
-
-    ``filter_idx`` is the position of the first filter (1 in all three
-    evaluation queries: W then F).
-    """
+    """Run operators up to and including the first filter on the source."""
 
     name = "Filter-Src"
-
-    def __init__(self, filter_idx: int = 1) -> None:
-        self.filter_idx = filter_idx
 
     def evaluate(self, spec: WorkloadSpec, budget_core: float, cap_mbps: float) -> Outcome:
         M = len(spec.cost_us)
         p = np.zeros(M)
-        p[: self.filter_idx + 1] = 1.0
+        p[: FILTER_IDX + 1] = 1.0
         demand = spec.demand_core(spec.offered_mbps, p)
         x = spec.offered_mbps * min(1.0, budget_core / demand) if demand > 0 else spec.offered_mbps
         traffic_unit = spec.traffic_mbps(x, p, bulk_boundary=True)

@@ -117,9 +117,7 @@ def run_adaptive_stream(
     *,
     budget_core: float,
     checkpoint_dir: str,
-    schema=None,
     detect_epochs: int = 1,
-    mode: str = "jarvis",
 ) -> list[AdaptiveEpoch]:
     """Drive the Jarvis runtime from a file-source Structured Stream.
 
@@ -128,18 +126,14 @@ def run_adaptive_stream(
     feeds the observation to the runtime, and the runtime refines the
     load factors for the next epoch. Returns the per-epoch history.
     """
-    if schema is None:
-        schema = spark.read.parquet(input_dir).schema
     stream = (
-        spark.readStream.schema(schema)
+        spark.readStream.schema(spark.read.parquet(input_dir).schema)
         .option("maxFilesPerTrigger", 1)
         .option("recursiveFileLookup", "true")
         .parquet(input_dir)
     )
     executor = _BatchExecutor(pipeline, budget_core)
-    runtime = JarvisRuntime(
-        executor, pipeline.n_ops, mode=mode, detect_epochs=detect_epochs
-    )
+    runtime = JarvisRuntime(executor, pipeline.n_ops, detect_epochs=detect_epochs)
     history: list[AdaptiveEpoch] = []
 
     def on_batch(batch_df: DataFrame, batch_id: int) -> None:

@@ -1,15 +1,17 @@
 """Epoch accounting on Python floats against the NumPy reference.
 
 The per-epoch control loop (executor accounting, ``classify_query`` and
-the fine-tuner's helpers) works on Python floats. The ``_ref_*``
-functions below are the earlier NumPy formulation, kept as the
-reference: every result must be bit-identical to it, not merely close.
+the fine-tuner's helpers) and the table simulator's throughput model
+work on Python floats. The ``_ref_*`` functions below are the earlier
+NumPy formulation, kept as the reference: every result must be
+bit-identical to it, not merely close.
 """
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from repro.cluster.spec import WorkloadSpec
 from repro.core import costmodel as cm
 from repro.core.convergence_sim import OpCountResult, sweep_operator_counts
 from repro.core.executor import (
@@ -21,7 +23,7 @@ from repro.core.executor import (
 from repro.core.partition_exec import PartitionedRun
 from repro.core.proxy import EpochObservation, ProxyState, QueryState, classify_query
 from repro.core.runtime import JarvisRuntime
-from repro.core.stepwise import FineTuner, ffd_priority_order
+from repro.core.stepwise import TARGET_UTIL, FineTuner, ffd_priority_order
 from repro.experiments import fig8
 
 N_DRAWS = 3000
@@ -144,7 +146,7 @@ def _ref_demand(tuner, p):
 
 
 def _ref_predicted_p(tuner, p, op):
-    budget_s = tuner.model.budget_core * tuner.epoch_s
+    budget_s = tuner.model.budget_core * cm.EPOCH_SECONDS
     p0 = p.copy()
     p0[op] = 0.0
     p1 = p.copy()
@@ -152,8 +154,24 @@ def _ref_predicted_p(tuner, p, op):
     d0, d1 = _ref_demand(tuner, p0), _ref_demand(tuner, p1)
     if d1 - d0 <= 1e-12:
         return None
-    x = (tuner.target_util * budget_s - d0) / (d1 - d0)
+    x = (TARGET_UTIL * budget_s - d0) / (d1 - d0)
     return float(np.clip(x, 0.0, 1.0))
+
+
+def _ref_unit_demand_us(spec, p):
+    _, fwd, _ = _ref_flow_counts(1.0, np.asarray(p, dtype=float), spec.relay)
+    return float(np.sum(fwd * spec.cost_us))
+
+
+def _ref_traffic_mbps(spec, x_mbps, p, bulk_boundary):
+    p = np.asarray(p, dtype=float)
+    rps = spec.records_per_sec(x_mbps)
+    _, _, drained = _ref_flow_counts(rps, p, spec.relay)
+    oh = np.where(np.arange(len(p)) == 0, 1.0, 1.0 if bulk_boundary else cm.DRAIN_OVERHEAD)
+    bytes_per_sec = float(np.sum(drained * spec.stage_bytes * oh))
+    if p[-1] > 0:
+        bytes_per_sec += spec.output_bytes_per_record * rps
+    return bytes_per_sec * 8.0 / 1e6
 
 
 def _ref_kappa(tuner, p, compute_used, pending_frac):
@@ -274,6 +292,29 @@ class TestBitIdentical:
             expect = _ref_kappa(tuner, p, obs.compute_used, pending)
             tuner.update_kappa(p, obs.compute_used, pending)
             assert tuner.kappa == expect
+
+    def test_throughput_model(self):
+        """The table simulator's demand and traffic, M from 1 to 6."""
+        rng = np.random.default_rng(7)
+        for _ in range(N_DRAWS):
+            M = int(rng.integers(1, 7))
+            sizes = rng.uniform(8.0, 200.0, M)
+            spec = WorkloadSpec(
+                name="draw",
+                cost_us=rng.uniform(0.05, 40.0, M) * (rng.random(M) < 0.9),
+                relay=np.where(rng.random(M) < 0.3, 1.0, rng.uniform(0.0, 1.0, M)),
+                stage_bytes=sizes,
+                record_bytes=float(sizes[0]),
+                output_bytes_per_record=float(rng.choice([0.0, rng.uniform(0.0, 2.0)])),
+                offered_mbps=26.2,
+            )
+            p = _draw_p(rng, M)
+            x = float(rng.choice([0.0, 26.2, rng.uniform(0.0, 60.0)]))
+            bulk = bool(rng.integers(2))
+            assert spec.unit_demand_us(p) == _ref_unit_demand_us(spec, p)
+            assert spec.traffic_mbps(x, p, bulk_boundary=bulk) == _ref_traffic_mbps(
+                spec, x, p, bulk
+            )
 
     def test_ffd_ties(self):
         relay = np.array([0.5, 0.1, 0.5, 0.1, 1.0, 0.5])

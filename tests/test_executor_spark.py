@@ -7,6 +7,7 @@ no compute used, when its budget drops to zero.
 """
 import numpy as np
 import pytest
+from pyspark import StorageLevel
 
 from repro.core.executor import SparkEpochExecutor
 from repro.core.operators import window_id
@@ -38,6 +39,12 @@ def test_profile_relays_equal_measured(bundle):
     # The Profile epoch drains everything at the first proxy.
     assert ex.last_run.drained_counts[0] == n
     assert obs.arrived[0] == n and not obs.forwarded.any()
+
+
+def test_trace_is_not_cached(bundle):
+    """The executor holds no copy of the trace that nothing would unpersist."""
+    ex = SparkEpochExecutor(bundle.input_df, bundle.pipeline, budget_core=0.5, seed=1)
+    assert ex.df.storageLevel == StorageLevel.NONE
 
 
 def test_zero_budget_settles_on_all_drain(bundle):

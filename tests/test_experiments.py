@@ -88,6 +88,20 @@ class TestSpecMeasurement:
         )
 
 
+class TestFig3Jobs:
+    def test_three_runs_and_nothing_else(self, spark):
+        """Once ``s2s_spec`` is stored, fig3 runs its three plans (two jobs
+        each) and no job to cache or count its trace."""
+        from repro.experiments import fig3
+        from repro.experiments.specs import s2s_spec
+        from tests.test_partition_exec import jobs_per_call
+
+        s2s_spec(spark)
+        rows = []
+        assert jobs_per_call(spark, lambda: rows.extend(fig3.run(spark))) <= 6
+        assert len(rows) == 3
+
+
 class TestSpecPerSession:
     def test_second_call_runs_no_job(self, spark):
         from repro.experiments.specs import s2s_spec

@@ -128,17 +128,6 @@ class TestJarvis:
         out = Jarvis().evaluate(t2t, 0.2, 10.0)
         assert out.traffic_mbps <= 10.0 + 1e-6
 
-    def test_fixed_p_is_pinned(self, s2s):
-        pinned = Jarvis(fixed_p=np.array([1.0, 1.0, 0.5]))
-        out = pinned.evaluate(s2s, 1.0, CAP)
-        assert out.p == pytest.approx([1.0, 1.0, 0.5])
-
-    def test_fixed_p_compute_capped(self, s2s):
-        pinned = Jarvis(fixed_p=np.ones(3))
-        out = pinned.evaluate(s2s, 0.4, CAP)
-        assert out.throughput_mbps < 26.2
-        assert out.compute_core <= 0.4 + 1e-6
-
 
 class TestFig7HeadlineClaims:
     """The paper's quantitative Fig. 7 comparisons, as shape assertions."""
