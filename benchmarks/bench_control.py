@@ -4,13 +4,16 @@ Every epoch each runtime (one per query per source) runs its executor's
 accounting, classifies the query and, while adapting, asks the
 fine-tuner for the next load factors. These time one call of each on
 the S2S, T2T and Log query shapes of the T-8 experiment
-(``repro.experiments.fig8.executor``).
+(``repro.experiments.fig8.executor``), and whole ``run_epoch`` calls of
+the two kinds a fleet of runtimes spends most of its time in: a stable
+Probe epoch and a Profile epoch (profile, LP plan, new fine-tuner).
 """
 import numpy as np
 import pytest
 
 from repro.core.executor import ProfileEstimates
 from repro.core.proxy import QueryState, classify_query
+from repro.core.runtime import JarvisRuntime, Phase
 from repro.core.stepwise import FineTuner
 from repro.experiments import fig8
 
@@ -50,3 +53,30 @@ def test_next_p(benchmark, kind):
         lambda tuner, p, state: tuner.next_p(p, state), setup=fresh, rounds=2000
     )
     assert nxt is not None and np.all((nxt >= 0.0) & (nxt <= 1.0))
+
+
+def _stable_runtime(kind):
+    ex = fig8.executor(kind, BUDGET_CORE)
+    rt = JarvisRuntime(ex, len(ex.relay), mode="jarvis")
+    rt.run_until_stable(80)
+    assert rt.phase is Phase.PROBE
+    return rt
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_run_epoch_stable_probe(benchmark, kind):
+    rt = _stable_runtime(kind)
+    rep = benchmark(rt.run_epoch)
+    assert rep.phase is Phase.PROBE and rep.state is QueryState.STABLE
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_run_epoch_profile(benchmark, kind):
+    rt = _stable_runtime(kind)
+
+    def profile_next():
+        rt.phase = Phase.PROFILE
+        return (), {}
+
+    rep = benchmark.pedantic(rt.run_epoch, setup=profile_next, rounds=2000)
+    assert rep.phase is Phase.PROFILE and rt.phase is Phase.ADAPT

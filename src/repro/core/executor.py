@@ -80,43 +80,54 @@ def epoch_observation(
     """Budget, pending and idle accounting of one epoch, shared by every executor.
 
     ``arrived``, ``forwarded`` and ``drained`` are the epoch's per-proxy
-    record counts (planned or measured), ``cost_us`` the per-record
-    operator costs and ``budget_s`` the epoch's compute budget in
-    core-seconds. When the forwarded records need more than the budget,
-    each operator completes the same share of its input; the rest is
-    pending and the proxy force-drains it, so it counts as drained.
-    ``wire_bytes`` is the executor's byte accounting: it maps the drained
-    records per proxy (planned plus force-drained) to the epoch's
-    network bytes.
+    record counts (planned or measured) as lists of Python floats,
+    ``cost_us`` the per-record operator costs and ``budget_s`` the
+    epoch's compute budget in core-seconds. When the forwarded records
+    need more than the budget, each operator completes the same share of
+    its input; the rest is pending and the proxy force-drains it, so it
+    counts as drained. ``wire_bytes`` is the executor's byte accounting:
+    it maps the drained records per proxy (planned plus force-drained)
+    to the epoch's network bytes.
 
     The sums run left to right from 0.0, which for fewer than 8 terms is
     bit-identical to ``np.sum`` (builtin ``sum`` is compensated on
-    Python >= 3.12).
+    Python >= 3.12). An epoch within its budget has nothing pending, so
+    it builds no per-proxy scaling lists: its processed counts are the
+    forwarded ones and its drained counts are the planned drains.
     """
     demand = 0.0
     for f, c in zip(forwarded, cost_us):
         demand += f * c
     demand_s = demand * 1e-6
+    fwd = np.array(forwarded)
     if demand_s <= budget_s or demand_s == 0.0:
-        processed = forwarded
+        processed = fwd.copy()
+        total_drained = drained
+        pending_frac = np.zeros(len(forwarded))
     else:
         scale = budget_s / demand_s
-        processed = [f * scale for f in forwarded]
-    pending = [f - q for f, q in zip(forwarded, processed)]
-    total_drained = [d + q for d, q in zip(drained, pending)]
+        done, total_drained, frac = [], [], []
+        for f, d in zip(forwarded, drained):
+            q = f * scale
+            pending = f - q
+            done.append(q)
+            total_drained.append(d + pending)
+            frac.append(pending / f if f > 0 else 0.0)
+        processed = np.array(done)
+        pending_frac = np.array(frac)
     util = min(1.0, demand_s / budget_s) if budget_s > 0 else 1.0
+    idle_frac = np.empty(len(forwarded))
+    idle_frac.fill(1.0 - util)
     return EpochObservation(
-        arrived=np.array(arrived, dtype=float),
-        forwarded=np.array(forwarded, dtype=float),
-        processed=np.array(processed, dtype=float),
-        drained=np.array(total_drained, dtype=float),
-        pending_frac=np.array(
-            [q / f if f > 0 else 0.0 for f, q in zip(forwarded, pending)], dtype=float
-        ),
-        idle_frac=np.array([1.0 - util] * len(forwarded), dtype=float),
-        compute_used=min(demand_s, budget_s),
-        drained_bytes=wire_bytes(total_drained),
-        output_rows=output_rows,
+        np.array(arrived),
+        fwd,
+        processed,
+        np.array(total_drained),
+        pending_frac,
+        idle_frac,
+        min(demand_s, budget_s),
+        wire_bytes(total_drained),
+        output_rows,
     )
 
 
@@ -135,7 +146,7 @@ def measured_observation(
         [f + d for f, d in zip(forwarded, drained)],
         forwarded,
         drained,
-        np.asarray(pipeline.cost_us, dtype=float).tolist(),
+        pipeline.cost_us.tolist(),
         budget_s,
         lambda _: shipped,
         output_rows=float(run.output_rows),
@@ -172,23 +183,23 @@ class SimulatedEpochExecutor:
     def execute(self, p: np.ndarray) -> EpochObservation:
         """Run one epoch under load factors ``p``."""
         arrived, forwarded, drained = planned_flow(
-            float(self.records_per_epoch),
-            np.asarray(p, dtype=float).tolist(),
-            np.asarray(self.relay, dtype=float).tolist(),
+            float(self.records_per_epoch), p.tolist(), self.relay.tolist()
         )
         return epoch_observation(
             arrived,
             forwarded,
             drained,
-            np.asarray(self.cost_us, dtype=float).tolist(),
+            self.cost_us.tolist(),
             self.budget_core * self.epoch_s,
             self._shipped_bytes,
         )
 
     def _shipped_bytes(self, drained: list[float]) -> float:
         """Drain-path bytes, force-drained records included, plus the output."""
-        sizes = np.asarray(self.stage_bytes, dtype=float).tolist()
-        return wire_bytes(drained, sizes, self.drain_overhead) + self.output_bytes_per_epoch
+        return (
+            wire_bytes(drained, self.stage_bytes.tolist(), self.drain_overhead)
+            + self.output_bytes_per_epoch
+        )
 
     def profile(self) -> tuple[ProfileEstimates, EpochObservation]:
         """One Profile epoch: estimate costs, relays and budget.
@@ -208,22 +219,26 @@ class SimulatedEpochExecutor:
         Profiling consumes the epoch: the query drains everything, so
         this counts as a non-stable epoch in convergence accounting.
         """
-        M = len(self.cost_us)
+        cost = self.cost_us.tolist()
+        relay = self.relay.tolist()
+        M = len(cost)
         # Input seen by each operator if everything were forwarded.
-        full_arrived, _, _ = planned_flow(
-            float(self.records_per_epoch), [1.0] * M, np.asarray(self.relay, dtype=float).tolist()
-        )
+        full_arrived, _, _ = planned_flow(float(self.records_per_epoch), [1.0] * M, relay)
         share_s = self.budget_core * self.epoch_s / max(M, 1)
-        needed_s = np.array(full_arrived) * self.cost_us * 1e-6
-        with np.errstate(divide="ignore", invalid="ignore"):
-            frac = np.where(needed_s > 0, np.minimum(1.0, share_s / needed_s), 1.0)
-        cost_hat = self.cost_us * (1.0 - cm.PROFILE_ERROR_GAIN * (1.0 - frac))
-        relay_hat = self.relay.copy()
+        # Share of its full sample each operator profiles within its budget.
+        frac = []
+        for n, c in zip(full_arrived, cost):
+            needed_s = n * c * 1e-6
+            frac.append(min(1.0, share_s / needed_s) if needed_s > 0 else 1.0)
+        relay_hat = relay.copy()
         for i in self.group_reduce_idx:
-            headroom = 1.0 - self.relay[i]
-            relay_hat[i] = self.relay[i] + cm.RELAY_ERROR_GAIN * (1.0 - frac[i]) * headroom
+            relay_hat[i] = relay[i] + cm.RELAY_ERROR_GAIN * (1.0 - frac[i]) * (1.0 - relay[i])
         est = ProfileEstimates(
-            cost_us=cost_hat, relay=relay_hat, budget_core=self.budget_core
+            cost_us=np.array(
+                [c * (1.0 - cm.PROFILE_ERROR_GAIN * (1.0 - f)) for c, f in zip(cost, frac)]
+            ),
+            relay=np.array(relay_hat),
+            budget_core=self.budget_core,
         )
         obs = self.execute(np.zeros(M))  # profiling epoch drains the stream
         return est, obs

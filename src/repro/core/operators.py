@@ -78,10 +78,6 @@ class Operator:
     cost_us: float
     input_bytes: float
 
-    @property
-    def is_stateless(self) -> bool:
-        return self.kind in ("window", "filter", "map", "static_join")
-
 
 @dataclass(frozen=True)
 class StatelessOp(Operator):

@@ -235,7 +235,8 @@ def wire_bytes(drained, stage_bytes, drain_overhead: float) -> float:
     ``stage_bytes[i]`` is a record's wire size there; stage 0 is a bulk
     forward, deeper drains pay ``drain_overhead``.
     """
-    total = 0.0
-    for i, (n, b) in enumerate(zip(drained, stage_bytes)):
-        total += n * b * (1.0 if i == 0 else drain_overhead)
+    total, overhead = 0.0, 1.0
+    for n, b in zip(drained, stage_bytes):
+        total += n * b * overhead
+        overhead = drain_overhead
     return total

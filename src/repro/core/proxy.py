@@ -38,11 +38,14 @@ class QueryState(enum.Enum):
     STABLE = "stable"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class EpochObservation:
     """What the control proxies report to the runtime after one epoch.
 
-    All arrays are per-operator (index = position in the pipeline).
+    All arrays are per-operator (index = position in the pipeline). One
+    is built every epoch, so it is a slotted, non-frozen dataclass: a
+    frozen ``__init__`` sets each field through ``object.__setattr__``
+    and costs several times as much. Readers treat it as read-only.
 
     Attributes:
         arrived: records arriving at each proxy.
@@ -93,16 +96,16 @@ def classify_query(
 
     Applies :func:`classify_proxy`'s rule to each proxy inline: this runs
     every epoch, and a call per proxy costs more than the comparisons.
+    ``p`` is read only when every proxy is idle.
     """
-    p = np.asarray(p).tolist()
-    pending = obs.pending_frac.tolist()
-    idle = obs.idle_frac.tolist()
     all_idle = True
-    for i in range(len(p)):
-        if pending[i] > drained_thres:
+    for pending, idle in zip(obs.pending_frac.tolist(), obs.idle_frac.tolist()):
+        if pending > drained_thres:
             return QueryState.CONGESTED
-        if not idle[i] > idle_thres:
+        if not idle > idle_thres:
             all_idle = False
-    if all_idle and any(v < 1.0 - 1e-9 for v in p):
-        return QueryState.IDLE
+    if all_idle:
+        for v in np.asarray(p).tolist():
+            if v < 1.0 - 1e-9:
+                return QueryState.IDLE
     return QueryState.STABLE

@@ -36,9 +36,13 @@ class Phase(enum.Enum):
     ADAPT = "adapt"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class EpochReport:
-    """One epoch's outcome as seen by the runtime."""
+    """One epoch's outcome as seen by the runtime.
+
+    Built every epoch, so slotted and not frozen, as
+    :class:`EpochObservation` is.
+    """
 
     epoch: int
     phase: Phase

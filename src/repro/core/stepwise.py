@@ -47,20 +47,20 @@ def lp_initial_plan(
         return np.ones(len(est.cost_us))
     budget_per_record = est.budget_core * cm.EPOCH_SECONDS / records_per_epoch
     sol = solve_plan(
-        est.relay, est.cost_us * 1e-6 * kappa, budget_per_record
+        est.relay, [c * 1e-6 * kappa for c in est.cost_us.tolist()], budget_per_record
     )
     return sol.p
 
 
-def ffd_priority_order(relay: np.ndarray) -> np.ndarray:
+def ffd_priority_order(relay: np.ndarray) -> list[int]:
     """Operator indices from highest to lowest priority.
 
     Priority is higher for lower relay ratio (more data reduction per
     processed record); ties break toward downstream operators, which
     see fewer records per unit of reduction.
     """
-    relay = np.asarray(relay, dtype=float).tolist()
-    return np.array(sorted(range(len(relay)), key=lambda i: (relay[i], -i)), dtype=int)
+    relay = np.asarray(relay).tolist()
+    return sorted(range(len(relay)), key=lambda i: (relay[i], -i))
 
 
 @dataclass
@@ -113,7 +113,7 @@ class FineTuner:
         """
         if self.model is None or self.records_per_epoch <= 0:
             return
-        est_demand = self._demand(np.asarray(p, dtype=float).tolist())
+        est_demand = self._demand(p.tolist())
         if est_demand <= 0:
             return
         actual = compute_used / max(1e-9, 1.0 - min(pending_frac, 0.99))
@@ -122,11 +122,9 @@ class FineTuner:
     def _demand(self, p: list[float]) -> float:
         """Estimated epoch compute demand (core-seconds) under ``p``."""
         assert self.model is not None
-        _, fwd, _ = planned_flow(
-            float(self.records_per_epoch), p, np.asarray(self.model.relay, dtype=float).tolist()
-        )
+        _, fwd, _ = planned_flow(float(self.records_per_epoch), p, self.model.relay.tolist())
         demand = 0.0  # left to right from 0.0, as in epoch_observation
-        for f, c in zip(fwd, np.asarray(self.model.cost_us, dtype=float).tolist()):
+        for f, c in zip(fwd, self.model.cost_us.tolist()):
             demand += f * c * self.kappa
         return demand * 1e-6
 
@@ -135,7 +133,7 @@ class FineTuner:
         if self.model is None or self.records_per_epoch <= 0:
             return None
         budget_s = self.model.budget_core * cm.EPOCH_SECONDS
-        p0 = np.asarray(p, dtype=float).tolist()
+        p0 = p.tolist()
         p0[op] = 0.0
         p1 = p0.copy()
         p1[op] = 1.0
@@ -147,7 +145,7 @@ class FineTuner:
 
     # -- search orchestration ----------------------------------------------------
     def _start_search(self, p: np.ndarray, state: QueryState) -> _Search | None:
-        order = ffd_priority_order(self.relay).tolist()
+        order = ffd_priority_order(self.relay)
         if state is QueryState.IDLE:
             for op in order:  # highest priority first
                 if p[op] < 1.0 - 1e-9 and op not in self._exhausted_raise:
@@ -164,7 +162,7 @@ class FineTuner:
         Call once per non-stable epoch with the state observed under the
         *current* ``p``; returns a new vector to try next epoch.
         """
-        p = np.asarray(p, dtype=float).copy()
+        p = np.array(p, dtype=float)
         if state is QueryState.STABLE:
             self._search = None
             return None

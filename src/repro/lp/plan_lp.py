@@ -28,6 +28,7 @@ such candidate is exact and needs no tolerance.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,28 +53,34 @@ class PlanSolution:
     compute_per_record: float
 
 
-def cumulative_relay(relay_ratios: np.ndarray) -> np.ndarray:
-    """``R_k = prod_{j<=k} r_j`` for k = 0..M-1 (input side of op k+1)."""
-    r = np.asarray(relay_ratios, dtype=float)
-    return np.concatenate(([1.0], np.cumprod(r)[:-1]))
+def cumulative_relay(relay_ratios: Sequence[float]) -> list[float]:
+    """``R_k = prod_{j<=k} r_j`` for k = 0..M-1 (input side of op k+1).
+
+    Multiplied left to right, as ``np.cumprod`` does.
+    """
+    R = [1.0]
+    for r in relay_ratios[:-1]:
+        R.append(R[-1] * r)
+    return R
 
 
-def e_to_p(e: np.ndarray) -> np.ndarray:
+def e_to_p(e: Sequence[float]) -> list[float]:
     """Recover per-proxy load factors from effective load factors.
 
     Where an upstream proxy drains everything (``e_{i-1} ~ 0``) the
     downstream ``p`` is unconstrained; 0.0 is chosen so that a stale plan
     never over-subscribes compute if records unexpectedly reappear.
     """
-    e = np.asarray(e, dtype=float)
-    prev = np.concatenate(([1.0], e[:-1]))
-    p = np.where(prev > _EPS, e / np.maximum(prev, _EPS), 0.0)
-    return np.clip(p, 0.0, 1.0)
+    p, prev = [], 1.0
+    for x in e:
+        p.append(min(max(x / prev, 0.0), 1.0) if prev > _EPS else 0.0)
+        prev = x
+    return p
 
 
 def solve_plan(
-    relay_ratios: np.ndarray,
-    costs: np.ndarray,
+    relay_ratios: Sequence[float],
+    costs: Sequence[float],
     budget_per_record: float,
 ) -> PlanSolution:
     """Solve the Eq. 3 LP for one query pipeline on one data source.
@@ -82,7 +89,8 @@ def solve_plan(
     depth whose cost fits the budget and (b) every pair of depths, one
     within the budget and one above it that drains less, mixed so that
     the compute used is exactly the budget.  Ties go to the candidate
-    that uses less compute.
+    that uses less compute.  It runs once per Profile epoch on a few
+    operators, so it works on Python floats.
 
     Args:
         relay_ratios: ``r_i`` per operator (output/input record count),
@@ -114,22 +122,24 @@ def solve_plan(
 
     budget = float(budget_per_record)
     # Depth points (C_k, D_k), k = 0..M.
-    R = cumulative_relay(r).tolist()
+    R = cumulative_relay(r_list)
     D = R + [0.0]
     C = [0.0]
     for Rk, ck in zip(R, c_list):
         C.append(C[-1] + Rk * ck)
 
+    # Depths whose cost fits the budget and depths above it, in order.
+    within, above = [], []
+    for k, Ck in enumerate(C):
+        (above if Ck > budget else within).append(k)
     # Best (drained, compute) so far, its depths j and k, and the share
     # lam of records at depth k (the rest exit at depth j).
     best, j_best, k_best, lam_best = (D[0], C[0]), 0, 0, 0.0
-    for j in range(M + 1):
-        if C[j] > budget:
-            continue
+    for j in within:
         if (D[j], C[j]) < best:
             best, j_best, k_best, lam_best = (D[j], C[j]), j, j, 0.0
-        for k in range(M + 1):
-            if C[k] > budget and D[k] < D[j]:
+        for k in above:
+            if D[k] < D[j]:
                 lam = (budget - C[j]) / (C[k] - C[j])
                 key = (D[j] + lam * (D[k] - D[j]), budget)
                 if key < best:
@@ -141,9 +151,11 @@ def solve_plan(
         lo, hi, deep = j_best, k_best, lam_best
     else:
         lo, hi, deep = k_best, j_best, 1.0 - lam_best
-    e = np.clip(np.array([1.0] * lo + [deep] * (hi - lo) + [0.0] * (M - hi)), 0.0, 1.0)
+    e = [1.0] * lo + [min(max(deep, 0.0), 1.0)] * (hi - lo) + [0.0] * (M - hi)
     drained, compute = best
-    return PlanSolution(e=e, p=e_to_p(e), drained_frac=drained, compute_per_record=compute)
+    return PlanSolution(
+        e=np.array(e), p=np.array(e_to_p(e)), drained_frac=drained, compute_per_record=compute
+    )
 
 
 def brute_force_plan(
@@ -162,7 +174,7 @@ def brute_force_plan(
     r = np.asarray(relay_ratios, dtype=float)
     c = np.asarray(costs, dtype=float)
     M = r.shape[0]
-    R = cumulative_relay(r)
+    R = np.array(cumulative_relay(r.tolist()))
     levels = np.linspace(0.0, 1.0, grid + 1)
     best_e = np.zeros(M)
     best_obj = float(np.sum(R))  # e = 0 baseline: everything drains at proxy 1.

@@ -1,11 +1,12 @@
 """Epoch accounting on Python floats against the NumPy reference.
 
-The per-epoch control loop (executor accounting, ``classify_query`` and
-the fine-tuner's helpers) and the table simulator's throughput model
-work on Python floats. The ``_ref_*`` functions below are the earlier
-NumPy formulation, kept as the reference: every result must be
-bit-identical to it, not merely close.
+The per-epoch control loop (executor accounting, the Profile epoch, the
+Eq. 3 LP solve, ``classify_query`` and the fine-tuner's helpers) and the
+table simulator's throughput model work on Python floats. The ``_ref_*``
+functions below are the earlier NumPy formulation, kept as the
+reference: every result must be bit-identical to it, not merely close.
 """
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -25,6 +26,7 @@ from repro.core.proxy import EpochObservation, ProxyState, QueryState, classify_
 from repro.core.runtime import JarvisRuntime
 from repro.core.stepwise import TARGET_UTIL, FineTuner, ffd_priority_order
 from repro.experiments import fig8
+from repro.lp.plan_lp import solve_plan
 
 N_DRAWS = 3000
 FIELDS = ("arrived", "forwarded", "processed", "drained", "pending_frac", "idle_frac")
@@ -182,6 +184,62 @@ def _ref_kappa(tuner, p, compute_used, pending_frac):
     return float(np.clip(actual / est_demand * tuner.kappa, 0.05, 20.0))
 
 
+def _ref_profile(ex):
+    M = len(ex.cost_us)
+    full_arrived, _, _ = _ref_flow_counts(ex.records_per_epoch, np.ones(M), ex.relay)
+    share_s = ex.budget_core * ex.epoch_s / max(M, 1)
+    needed_s = full_arrived * ex.cost_us * 1e-6
+    with np.errstate(divide="ignore", invalid="ignore"):
+        frac = np.where(needed_s > 0, np.minimum(1.0, share_s / needed_s), 1.0)
+    cost_hat = ex.cost_us * (1.0 - cm.PROFILE_ERROR_GAIN * (1.0 - frac))
+    relay_hat = ex.relay.copy()
+    for i in ex.group_reduce_idx:
+        headroom = 1.0 - ex.relay[i]
+        relay_hat[i] = ex.relay[i] + cm.RELAY_ERROR_GAIN * (1.0 - frac[i]) * headroom
+    est = ProfileEstimates(cost_us=cost_hat, relay=relay_hat, budget_core=ex.budget_core)
+    return est, _ref_execute(ex, np.zeros(M))
+
+
+def _ref_cumulative_relay(relay_ratios):
+    r = np.asarray(relay_ratios, dtype=float)
+    return np.concatenate(([1.0], np.cumprod(r)[:-1]))
+
+
+def _ref_e_to_p(e):
+    e = np.asarray(e, dtype=float)
+    prev = np.concatenate(([1.0], e[:-1]))
+    p = np.where(prev > 1e-9, e / np.maximum(prev, 1e-9), 0.0)
+    return np.clip(p, 0.0, 1.0)
+
+
+def _ref_solve_plan(relay_ratios, costs, budget):
+    """``solve_plan`` on NumPy's cumulative relay and e->p, every depth pair tried."""
+    M = len(relay_ratios)
+    R = _ref_cumulative_relay(relay_ratios).tolist()
+    D = R + [0.0]
+    C = [0.0]
+    for Rk, ck in zip(R, np.asarray(costs, dtype=float).tolist()):
+        C.append(C[-1] + Rk * ck)
+    best, j_best, k_best, lam_best = (D[0], C[0]), 0, 0, 0.0
+    for j in range(M + 1):
+        if C[j] > budget:
+            continue
+        if (D[j], C[j]) < best:
+            best, j_best, k_best, lam_best = (D[j], C[j]), j, j, 0.0
+        for k in range(M + 1):
+            if C[k] > budget and D[k] < D[j]:
+                lam = (budget - C[j]) / (C[k] - C[j])
+                key = (D[j] + lam * (D[k] - D[j]), budget)
+                if key < best:
+                    best, j_best, k_best, lam_best = key, j, k, lam
+    if j_best <= k_best:
+        lo, hi, deep = j_best, k_best, lam_best
+    else:
+        lo, hi, deep = k_best, j_best, 1.0 - lam_best
+    e = np.clip(np.array([1.0] * lo + [deep] * (hi - lo) + [0.0] * (M - hi)), 0.0, 1.0)
+    return e, _ref_e_to_p(e), best[0], best[1]
+
+
 # -- seeded draws ---------------------------------------------------------------
 def _draw_p(rng, M):
     kind = rng.integers(3)
@@ -249,6 +307,32 @@ class TestBitIdentical:
                 measured_observation(run, pipeline, budget_s, overhead),
                 _ref_measured(run, pipeline, budget_s, overhead),
             )
+
+    def test_simulated_profile(self):
+        for rng, ex, _ in _draws(8):
+            M = len(ex.cost_us)
+            ex.group_reduce_idx = tuple(int(i) for i in np.flatnonzero(rng.random(M) < 0.5))
+            est, obs = ex.profile()
+            ref_est, ref_obs = _ref_profile(ex)
+            for name in ("cost_us", "relay"):
+                a, b = getattr(est, name), getattr(ref_est, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
+            assert est.budget_core == ref_est.budget_core
+            _assert_same(obs, ref_obs)
+
+    def test_solve_plan(self):
+        """The LP on the T-8 shapes' draws, at budgets from zero to all-local."""
+        for rng, ex, _ in _draws(9):
+            relay = ex.relay
+            costs = ex.cost_us * 1e-6 * float(rng.choice([1.0, rng.uniform(0.05, 20.0)]))
+            full = float(np.sum(_ref_cumulative_relay(relay) * costs))
+            budget = float(rng.choice([0.0, full, rng.uniform(0.0, 1.3) * full, 1e-12]))
+            sol = solve_plan(relay, costs, budget)
+            e, p, drained, compute = _ref_solve_plan(relay, costs, budget)
+            assert sol.e.dtype == e.dtype and np.array_equal(sol.e, e)
+            assert sol.p.dtype == p.dtype and np.array_equal(sol.p, p)
+            assert sol.drained_frac == drained
+            assert sol.compute_per_record == compute
 
     def test_classify_query(self):
         for rng, ex, p in _draws(3):
@@ -351,6 +435,34 @@ class TestInvariants:
             assert obs.compute_used <= budget_s
             assert np.all((obs.pending_frac >= 0.0) & (obs.pending_frac <= 1.0))
             assert obs.drained_bytes == sum(obs.drained.tolist())
+
+
+class TestRetainedMemory:
+    def test_stable_epochs_hold_no_memory(self):
+        """Twice as many stable epochs leave no more memory allocated."""
+        runtimes = []
+        for kind in ("log", "s2s", "t2t"):
+            ex = fig8.executor(kind, 0.5)
+            rt = JarvisRuntime(ex, len(ex.relay), relay_hint=ex.relay)
+            rt.run_until_stable(80)
+            runtimes.append(rt)
+
+        def retained(n_epochs):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                for _ in range(n_epochs):
+                    for rt in runtimes:
+                        rep = rt.run_epoch()
+                        assert rep.state is QueryState.STABLE
+                return tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+
+        retained(100)  # warm-up: first-call allocations
+        n = 500
+        # One pointer per epoch kept anywhere would be 8 * 3 * n bytes more.
+        assert retained(2 * n) - retained(n) < 8 * n
 
 
 class TestZeroBudget:
